@@ -342,6 +342,49 @@ mod tests {
         assert!(err.to_string().contains("cycle limit"));
     }
 
+    /// Processor `p` loads its own line twice (a miss, then a hit whose
+    /// retirement picks the barrier as the next action) and waits at
+    /// barrier `ids[p]`.
+    fn barrier_run(ids: &'static [u32], workers: usize) -> RunError {
+        let mut b = MachineBuilder::new(MachineConfig::with_nodes(ids.len() as u32));
+        b.with_workers(workers);
+        for (p, &id) in ids.iter().enumerate() {
+            let addr = Addr::new(64 * (p as u64 + 1));
+            let mut stage = 0;
+            b.add_program(move |_: &mut ProcCtx<'_>| {
+                stage += 1;
+                match stage {
+                    1 => Action::Compute(10 * (p as u64 + 1)),
+                    2 | 3 => Action::Op(MemOp::Load { addr }),
+                    4 => Action::Barrier(id),
+                    _ => Action::Done,
+                }
+            });
+        }
+        b.build().run(LIMIT).unwrap_err()
+    }
+
+    #[test]
+    fn barrier_mismatch_is_a_typed_error_on_both_engines() {
+        for (ids, first, other) in [
+            (&[1u32, 1, 2, 2][..], (0, 1), (2, 2)),
+            (&[1, 1, 1, 2][..], (0, 1), (3, 2)),
+            (&[2, 1, 1, 1][..], (0, 2), (1, 1)),
+        ] {
+            let serial = barrier_run(ids, 1);
+            let RunError::BarrierMismatch {
+                first: f, other: o, ..
+            } = serial
+            else {
+                panic!("expected a barrier mismatch, got {serial}");
+            };
+            assert_eq!((f.0.as_u32(), f.1), first);
+            assert_eq!((o.0.as_u32(), o.1), other);
+            assert!(serial.to_string().contains("barrier mismatch"));
+            assert_eq!(barrier_run(ids, 2), serial, "PDES disagrees for {ids:?}");
+        }
+    }
+
     #[test]
     fn stats_accumulate() {
         let m = fetch_add_total(SyncPolicy::Unc, 4, 5);

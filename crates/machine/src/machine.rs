@@ -96,8 +96,9 @@ impl fmt::Display for ProcDump {
 }
 
 /// Error returned when a run cannot complete: cycle limit, deadlock,
-/// livelock, a protocol-state error, or (in paranoid mode) a violated
-/// protocol invariant.
+/// livelock, a protocol-state error, a barrier-id mismatch in the
+/// simulated programs, or (in paranoid mode) a violated protocol
+/// invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// The cycle limit was reached with processors still active.
@@ -142,6 +143,16 @@ pub enum RunError {
         at: Cycle,
         /// The first violation found.
         violation: InvariantViolation,
+    },
+    /// Every active processor waits at a simulated barrier, but not all
+    /// at the same one — an error in the simulated program.
+    BarrierMismatch {
+        /// The cycle the last processor arrived (the release time).
+        at: Cycle,
+        /// The lowest-numbered waiting processor and its barrier id.
+        first: (ProcId, u32),
+        /// The lowest-numbered processor waiting at a different id.
+        other: (ProcId, u32),
     },
     /// The host wall-clock budget for this run elapsed before the
     /// simulation finished. Unlike every other variant this is a
@@ -201,6 +212,14 @@ impl fmt::Display for RunError {
             }
             RunError::Protocol { at, error } => write!(f, "at {at}: {error}"),
             RunError::Invariant { at, violation } => write!(f, "at {at}: {violation}"),
+            RunError::BarrierMismatch {
+                at,
+                first: (p, b),
+                other: (q, c),
+            } => write!(
+                f,
+                "barrier mismatch at {at}: {p} waits at barrier {b} but {q} waits at barrier {c}"
+            ),
             RunError::Timeout {
                 at,
                 elapsed_ms,
@@ -282,11 +301,17 @@ impl RunOutcome {
 // exactly the serial order restricted to that node, which is the
 // invariant the PDES engine rides on. Sub-keys come from per-node
 // monotone counters (the network's per-source launch sequence for
-// wire/deliver events, `Core::local_seq` for local events), never from
-// global state.
+// wire/deliver events, the push cycle plus `Core::local_seq` for local
+// events), never from global state.
 
 /// Bit position of the rank field in an event key.
 pub(crate) const RANK_SHIFT: u32 = 88;
+
+/// Width of a local key's per-cycle sequence field.
+const LOCAL_SEQ_BITS: u32 = 24;
+
+/// The largest sequence number a local key can carry.
+const LOCAL_SEQ_MAX: u64 = (1 << LOCAL_SEQ_BITS) - 1;
 
 /// Key of a [`Event::Wire`] arrival: destination node, rank 0, then
 /// `(src, launch_seq)` — the per-source FIFO coordinate.
@@ -297,10 +322,26 @@ pub(crate) fn key_wire(dst: NodeId, src: NodeId, seq: u64) -> u128 {
 }
 
 /// Key of a local event (`Process`, `ProcStep`, `OpDone`): node, rank
-/// 2, then the node's monotone local sequence number.
+/// 2, then the cycle the event was pushed at (bits 24..88) and the
+/// node's sequence number within that cycle (bits 0..24). A node pushes
+/// its local events in time order, so `(pushed, seq)` orders them
+/// exactly as one monotone per-node counter would — and lets a fused
+/// push claim the slot of an event pushed at a later cycle.
 #[inline]
-pub(crate) fn key_local(node: u32, seq: u64) -> u128 {
-    (u128::from(node) << 96) | (2u128 << RANK_SHIFT) | u128::from(seq)
+pub(crate) fn key_local(node: u32, pushed: Cycle, seq: u64) -> u128 {
+    debug_assert!(seq <= LOCAL_SEQ_MAX, "local sequence overflow");
+    (u128::from(node) << 96)
+        | (2u128 << RANK_SHIFT)
+        | (u128::from(pushed.as_u64()) << LOCAL_SEQ_BITS)
+        | u128::from(seq)
+}
+
+/// Key of a fused `ProcStep` (see [`Core::push_fused`]): a local key
+/// pushed at `skipped` with the largest sequence number, so it sorts
+/// after every local event the node pushes in that cycle.
+#[inline]
+pub(crate) fn key_fused(node: u32, skipped: Cycle) -> u128 {
+    key_local(node, skipped, LOCAL_SEQ_MAX)
 }
 
 /// Key of a barrier-release `ProcStep`: node, rank 3. Rank 3 sorts
@@ -343,13 +384,14 @@ pub(crate) enum Event {
     Process(Box<Msg>, u64),
     /// A processor is ready for its next program step.
     ProcStep(ProcId),
-    /// A processor's outstanding operation completed.
+    /// A processor's outstanding *remote* operation completed (a local
+    /// cache hit retires inside the dispatch that issues it and never
+    /// becomes an event; see [`Core::issue_op`]).
     ///
-    /// Boxed for the same reason as messages: completions outnumber
-    /// every other event in cache-friendly workloads, and a slim queue
-    /// entry halves the bytes the time wheel has to shuffle per event.
-    /// The boxes come from (and return to) a recycling pool, so no
-    /// allocation happens at steady state.
+    /// Boxed for the same reason as messages: a slim queue entry halves
+    /// the bytes the time wheel has to shuffle per event. The boxes come
+    /// from (and return to) a recycling pool, so no allocation happens
+    /// at steady state.
     OpDone(ProcId, Box<OpOutcome>),
 }
 
@@ -365,6 +407,47 @@ pub(crate) enum Effect {
     Arrived,
     /// A processor terminated.
     Finished,
+}
+
+/// Which barriers a set of processors waits at, reduced to what the
+/// release check needs: the lowest-numbered waiting processor with its
+/// barrier id, and the lowest-numbered one waiting at a different id.
+/// Shard summaries merge into the whole machine's, so the serial and
+/// PDES engines report the same mismatch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Waiters {
+    first: Option<(ProcId, u32)>,
+    other: Option<(ProcId, u32)>,
+}
+
+impl Waiters {
+    /// Merges summaries of disjoint processor sets.
+    pub(crate) fn merge(parts: &[Waiters]) -> Waiters {
+        let Some(first) = parts.iter().filter_map(|w| w.first).min() else {
+            return Waiters::default();
+        };
+        // A part whose own first waiter disagrees with the global one
+        // offers that waiter; otherwise its own `other` disagrees too.
+        let other = parts
+            .iter()
+            .filter_map(|w| match w.first {
+                Some(f) if f.1 != first.1 => Some(f),
+                _ => w.other,
+            })
+            .min();
+        Waiters {
+            first: Some(first),
+            other,
+        }
+    }
+
+    /// The error to report when the waiters do not agree.
+    pub(crate) fn check(&self, at: Cycle) -> Result<(), RunError> {
+        match (self.first, self.other) {
+            (Some(first), Some(other)) => Err(RunError::BarrierMismatch { at, first, other }),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// The debug message-trace ring buffer: `(capacity, entries)`.
@@ -408,6 +491,9 @@ struct ProcState {
     last_chain: Option<u32>,
     /// (op, issue time, tracked-as-sync) of the outstanding operation.
     current: Option<(MemOp, Cycle, bool)>,
+    /// The action the program chose right after a local hit retired,
+    /// taken by the `ProcStep` that resumes the processor.
+    next: Option<Action>,
     /// The trace span of the outstanding operation (0 = none).
     /// Diagnostic-only; excluded from [`Machine::state_digest`].
     span: u64,
@@ -451,8 +537,9 @@ pub(crate) struct Core {
     /// Append-only log of sync begin/end records; replayed in canonical
     /// coordinate order when global statistics are read.
     pub(crate) sync_log: Vec<SyncRec>,
-    /// Per-node monotone sequence for local event keys.
-    local_seq: Vec<u64>,
+    /// Per-node `(cycle, pushes)` of the node's latest local push: the
+    /// push-cycle and sequence fields of its local event keys.
+    local_seq: Vec<(Cycle, u64)>,
     /// Per-node monotone sequence for sync-log coordinates.
     sync_seq: Vec<u64>,
     /// Non-terminated processors in this core's range.
@@ -521,12 +608,34 @@ impl Core {
         node >= self.lo && node < self.hi
     }
 
-    /// Pushes a local event with the node's next monotone key.
+    /// Pushes a local event keyed after every local event the node has
+    /// pushed so far.
     fn push_local(&mut self, at: Cycle, node: u32, event: Event) {
         let i = self.li(node);
-        let key = key_local(node, self.local_seq[i]);
-        self.local_seq[i] += 1;
+        let (cycle, seq) = &mut self.local_seq[i];
+        if *cycle != self.now {
+            *cycle = self.now;
+            *seq = 0;
+        }
+        // The largest sequence number is reserved for fused pushes.
+        debug_assert!(*seq < LOCAL_SEQ_MAX, "local sequence overflow");
+        let key = key_local(node, self.now, *seq);
+        *seq += 1;
         self.events.push_keyed(at, key, event);
+    }
+
+    /// Pushes the `ProcStep` that stands in for a chain of skipped local
+    /// events, under the key the last skipped event would have given
+    /// it: pushed at `skipped` (the cycle that event would have been
+    /// dispatched at), after every local event the node pushes in that
+    /// cycle. That is the exact serial position, because while a hit
+    /// retires or the processor computes, the node's only same-cycle
+    /// local pushes come from its rank-0/1 `Wire`/`Deliver` dispatches,
+    /// which run before any rank-2 event of the cycle — no remote
+    /// completion can land for a processor with nothing outstanding.
+    fn push_fused(&mut self, at: Cycle, skipped: Cycle, p: ProcId) {
+        let key = key_fused(p.as_u32(), skipped);
+        self.events.push_keyed(at, key, Event::ProcStep(p));
     }
 
     /// Accepts a cross-shard message from the transport: re-boxes it
@@ -591,7 +700,12 @@ impl Core {
             Event::OpDone(p, outcome) => {
                 let o = *outcome;
                 self.outcome_pool.push(outcome);
-                self.op_done(p, o, io)?;
+                self.retire(p, o, self.now, io)?;
+                self.push_local(
+                    self.now + self.cfg.params.issue,
+                    p.as_u32(),
+                    Event::ProcStep(p),
+                );
                 Ok(Effect::None)
             }
             Event::Wire(msg) => {
@@ -717,21 +831,29 @@ impl Core {
         self.push_local(finish, dst, Event::Process(msg, span));
     }
 
+    /// Asks processor `p`'s program for its next action, as of `now`.
+    fn step_program(&mut self, p: ProcId, now: Cycle) -> Action {
+        let i = self.li(p.as_u32());
+        let state = &mut self.procs[i];
+        let mut ctx = ProcCtx {
+            proc: p,
+            now,
+            last: state.last.take(),
+            last_chain: state.last_chain.take(),
+            rng: &mut state.rng,
+        };
+        state.program.step(&mut ctx)
+    }
+
     fn proc_step(&mut self, p: ProcId, io: &mut impl ShardIo) -> Result<Effect, RunError> {
         let i = self.li(p.as_u32());
         let state = &mut self.procs[i];
         if state.done || state.blocked || state.waiting_barrier.is_some() {
             return Ok(Effect::None);
         }
-        let action = {
-            let mut ctx = ProcCtx {
-                proc: p,
-                now: self.now,
-                last: state.last.take(),
-                last_chain: state.last_chain.take(),
-                rng: &mut state.rng,
-            };
-            state.program.step(&mut ctx)
+        let action = match state.next.take() {
+            Some(action) => action,
+            None => self.step_program(p, self.now),
         };
         match action {
             Action::Compute(cycles) => {
@@ -794,38 +916,50 @@ impl Core {
         if let Some(tracer) = io.tracer() {
             tracer.set_span_ctx(0);
         }
-        match completed {
-            Some(outcome) => {
-                let latency = self.cfg.params.cache_hit;
-                let boxed = self.box_outcome(outcome);
-                self.push_local(self.now + latency, p.as_u32(), Event::OpDone(p, boxed));
-                self.procs[i].blocked = true;
-            }
-            None => {
-                self.procs[i].blocked = true;
+        let Some(outcome) = completed else {
+            self.procs[i].blocked = true;
+            return Ok(());
+        };
+        // A local hit: its result is known now, so retire it at its
+        // completion cycle, ask the program for its next action as of
+        // the cycle it would have resumed at, and queue one `ProcStep`
+        // in place of the completion, resume and compute events.
+        let at = self.now + self.cfg.params.cache_hit;
+        self.retire(p, outcome, at, io)?;
+        let resume = at + self.cfg.params.issue;
+        match self.step_program(p, resume) {
+            Action::Compute(cycles) => self.push_fused(resume + cycles, resume, p),
+            action => {
+                self.procs[i].next = Some(action);
+                self.push_fused(resume, at, p);
             }
         }
         Ok(())
     }
 
-    fn op_done(
+    /// Completes processor `p`'s outstanding operation at cycle `at`
+    /// (now for a remote completion, the hit's completion cycle for a
+    /// local hit): statistics, the sync log, trace records, and the
+    /// result the program sees at its next step.
+    fn retire(
         &mut self,
         p: ProcId,
         outcome: OpOutcome,
+        at: Cycle,
         io: &mut impl ShardIo,
     ) -> Result<(), RunError> {
         let i = self.li(p.as_u32());
         let Some((op, issued, is_sync)) = self.procs[i].current.take() else {
             return Err(RunError::Protocol {
-                at: self.now,
+                at,
                 error: ProtocolError::new(
                     ProtocolErrorKind::MissingRequest,
                     format!("operation completion at {p} with no operation outstanding"),
                 ),
             });
         };
-        self.last_retire = self.now;
-        let cycles = (self.now - issued).as_u64();
+        self.last_retire = self.last_retire.max(at);
+        let cycles = (at - issued).as_u64();
         let latency = cycles as f64;
         {
             let ns = &mut self.nstats[i];
@@ -846,7 +980,7 @@ impl Core {
             let seq = self.sync_seq[i];
             self.sync_seq[i] += 1;
             self.sync_log.push(SyncRec {
-                at: self.now.as_u64(),
+                at: at.as_u64(),
                 proc: p.as_u32(),
                 seq,
                 addr: op.addr().as_u64(),
@@ -865,16 +999,9 @@ impl Core {
                 } if matches!(op, MemOp::LoadLinked { .. }) => "ll-unreserved",
                 _ => "ok",
             };
-            tracer.span_end(self.now, p, span, outcome_label);
+            tracer.span_end(at, p, span, outcome_label);
             if tracer.wants(Category::Op) {
-                tracer.op(
-                    p,
-                    issued,
-                    self.now,
-                    op.label(),
-                    outcome.local,
-                    outcome.chain,
-                );
+                tracer.op(p, issued, at, op.label(), outcome.local, outcome.chain);
             }
             if tracer.wants(Category::Retry) {
                 // A failed atomic attempt means the processor's loop
@@ -882,15 +1009,15 @@ impl Core {
                 // paper's retry-storm analysis.
                 match outcome.result {
                     OpResult::CasDone { success: false, .. } => {
-                        tracer.retry(self.now, p, "cas-fail");
+                        tracer.retry(at, p, "cas-fail");
                     }
                     OpResult::ScDone { success: false } => {
-                        tracer.retry(self.now, p, "sc-fail");
+                        tracer.retry(at, p, "sc-fail");
                     }
                     OpResult::Loaded {
                         reserved: false, ..
                     } if matches!(op, MemOp::LoadLinked { .. }) => {
-                        tracer.retry(self.now, p, "ll-unreserved");
+                        tracer.retry(at, p, "ll-unreserved");
                     }
                     _ => {}
                 }
@@ -908,7 +1035,7 @@ impl Core {
                     } else {
                         "ll-unreserved"
                     };
-                    tracer.reservation(self.now, home, label);
+                    tracer.reservation(at, home, label);
                 }
             }
         }
@@ -916,11 +1043,6 @@ impl Core {
         state.blocked = false;
         state.last = Some(outcome.result);
         state.last_chain = Some(outcome.chain);
-        self.push_local(
-            self.now + self.cfg.params.issue,
-            p.as_u32(),
-            Event::ProcStep(p),
-        );
         Ok(())
     }
 
@@ -1009,29 +1131,44 @@ impl Core {
     /// Serial-path barrier scan: releases the barrier if every
     /// non-terminated processor has arrived. Requires the full node
     /// range (the PDES coordinator does the equivalent scan globally).
-    pub(crate) fn try_release_barrier(&mut self) {
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::BarrierMismatch`] if the waiters disagree on the
+    /// barrier id.
+    pub(crate) fn try_release_barrier(&mut self) -> Result<(), RunError> {
         debug_assert_eq!(self.lo, 0, "serial barrier scan needs the whole machine");
-        let mut waiting = 0;
-        let mut id: Option<u32> = None;
-        for s in &self.procs {
-            if s.done {
-                continue;
-            }
-            match s.waiting_barrier {
-                Some(b) => {
-                    if let Some(prev) = id {
-                        assert_eq!(prev, b, "processors waiting at different barriers");
-                    }
-                    id = Some(b);
-                    waiting += 1;
-                }
-                None => return, // someone is still running
-            }
+        if self
+            .procs
+            .iter()
+            .any(|s| !s.done && s.waiting_barrier.is_none())
+        {
+            return Ok(()); // someone is still running
         }
-        if waiting == 0 {
-            return;
+        let waiters = self.waiters();
+        if waiters.first.is_none() {
+            return Ok(());
         }
+        waiters.check(self.now)?;
         self.apply_barrier_release(self.now);
+        Ok(())
+    }
+
+    /// Summarizes the barriers this core's processors wait at.
+    pub(crate) fn waiters(&self) -> Waiters {
+        let mut w = Waiters::default();
+        for (i, s) in self.procs.iter().enumerate() {
+            let Some(b) = s.waiting_barrier.filter(|_| !s.done) else {
+                continue;
+            };
+            let p = ProcId::new(self.lo + i as u32);
+            match w.first {
+                None => w.first = Some((p, b)),
+                Some((_, first)) if first != b && w.other.is_none() => w.other = Some((p, b)),
+                _ => {}
+            }
+        }
+        w
     }
 
     /// Resumes every locally waiting processor at `at` (rank-3 keys, so
@@ -1446,6 +1583,7 @@ impl MachineBuilder {
                 last: None,
                 last_chain: None,
                 current: None,
+                next: None,
                 span: 0,
             })
             .collect();
@@ -1492,7 +1630,7 @@ impl MachineBuilder {
             cache_busy: vec![Cycle::ZERO; nodes as usize],
             nstats: vec![NodeStats::default(); nodes as usize],
             sync_log: Vec::new(),
-            local_seq: vec![0; nodes as usize],
+            local_seq: vec![(Cycle::ZERO, 0); nodes as usize],
             sync_seq: vec![0; nodes as usize],
             active: nodes as usize,
             events_processed: 0,
@@ -1658,8 +1796,9 @@ impl Machine {
     /// processors (a protocol/program bug), [`RunError::Livelock`] if the
     /// watchdog window elapsed without an op retiring,
     /// [`RunError::Protocol`] if a protocol engine reached an illegal
-    /// state, or [`RunError::Invariant`] if paranoid checking found a
-    /// violated invariant.
+    /// state, [`RunError::BarrierMismatch`] if the processors' programs
+    /// wait at different barriers, or [`RunError::Invariant`] if
+    /// paranoid checking found a violated invariant.
     pub fn run(&mut self, limit: Cycle) -> Result<RunReport, RunError> {
         match self.run_until(limit, StopRule::None)? {
             RunOutcome::Done(report) => Ok(report),
@@ -1768,7 +1907,7 @@ impl Machine {
             self.check_watchdog()?;
             self.check_wall(started)?;
             if self.dispatch_serial(key, event)? != Effect::None {
-                self.core.try_release_barrier();
+                self.core.try_release_barrier()?;
             }
             if self.should_pause(stop) {
                 self.paused = true;
@@ -1877,10 +2016,12 @@ impl Machine {
         if !self.core.any_outstanding() {
             // Nothing outstanding (compute/barrier phases): progress is
             // the program's business, not the protocol's.
-            self.core.last_retire = self.core.now;
+            self.core.last_retire = self.core.last_retire.max(self.core.now);
             return Ok(());
         }
-        if (self.core.now - self.core.last_retire).as_u64() > self.watchdog {
+        // A local hit retires at its completion cycle while the
+        // dispatch that issued it runs, so `last_retire` may lie ahead.
+        if self.core.now.saturating_sub(self.core.last_retire).as_u64() > self.watchdog {
             return Err(RunError::Livelock {
                 at: self.core.now,
                 window: self.watchdog,
@@ -2077,6 +2218,22 @@ impl Machine {
                 }
                 None => h.write_u8(0),
             }
+            match &proc.next {
+                None => h.write_u8(0),
+                Some(Action::Op(op)) => {
+                    h.write_u8(1);
+                    op.digest(&mut h);
+                }
+                Some(Action::Compute(c)) => {
+                    h.write_u8(2);
+                    h.write_u64(*c);
+                }
+                Some(Action::Barrier(b)) => {
+                    h.write_u8(3);
+                    h.write_u32(*b);
+                }
+                Some(Action::Done) => h.write_u8(4),
+            }
         }
         for c in &self.core.mem_busy {
             h.write_u64(c.as_u64());
@@ -2267,5 +2424,54 @@ impl Machine {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A node's local pushes over a few cycles, as `(push cycle,
+    /// sequence within the cycle)`: several pushes in some cycles, and
+    /// cycles far past 2^40.
+    fn pushes() -> Vec<(Cycle, u64)> {
+        let mut out: Vec<(Cycle, u64)> = Vec::new();
+        for c in [0u64, 0, 0, 3, 4, 4, 9, 9, 9, 9, 10, 1 << 45, 1 << 45].map(Cycle::new) {
+            let seq = match out.last() {
+                Some(&(last, seq)) if last == c => seq + 1,
+                _ => 0,
+            };
+            out.push((c, seq));
+        }
+        out
+    }
+
+    #[test]
+    fn push_cycle_keys_order_like_a_monotone_counter() {
+        // The counter-only key used to be `(node, rank 2, total pushes)`;
+        // the push-cycle key must order every pair the same way.
+        let keys: Vec<u128> = pushes()
+            .into_iter()
+            .map(|(c, seq)| key_local(7, c, seq))
+            .collect();
+        for (i, a) in keys.iter().enumerate() {
+            for (j, b) in keys.iter().enumerate() {
+                assert_eq!(a.cmp(b), i.cmp(&j), "pushes {i} and {j} reorder");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_key_sorts_after_same_cycle_pushes_only() {
+        for (c, seq) in pushes() {
+            let fused = key_fused(7, c);
+            assert!(key_local(7, c, seq) < fused);
+            assert!(fused < key_local(7, c + 1, 0));
+            // Still a local key of the same node: after its wire and
+            // delivery keys, before its barrier release.
+            assert!(key_wire(NodeId::new(7), NodeId::new(63), 1 << 40) < fused);
+            assert!(fused < key_barrier(7));
+            assert_eq!(key_node(fused), 7);
+        }
     }
 }

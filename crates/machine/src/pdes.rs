@@ -31,7 +31,9 @@
 //! produce an arrival, and once every active processor is reported
 //! waiting the leader schedules a release at the maximum reported
 //! arrival time — which is, by construction, the cycle the serial
-//! engine would have released at. Rank-3 release keys sort the resumed
+//! engine would have released at (or, if the waiters disagree on the
+//! barrier id, fails the run with the serial engine's
+//! [`RunError::BarrierMismatch`]). Rank-3 release keys sort the resumed
 //! `ProcStep`s after all same-cycle protocol work of the node, exactly
 //! like the serial inline push.
 //!
@@ -43,7 +45,7 @@
 //! all merged artifacts are combined in canonical node order.
 
 use crate::machine::{
-    key_node, shard_bounds, shard_of, Core, Effect, RunError, RunReport, ShardIo,
+    key_node, shard_bounds, shard_of, Core, Effect, RunError, RunReport, ShardIo, Waiters,
 };
 use dsm_protocol::Msg;
 use dsm_sim::{Cycle, MachineConfig, NodeId};
@@ -66,6 +68,8 @@ struct Report {
     next_local: Option<Cycle>,
     /// Local processors waiting at a simulated barrier.
     waiting: usize,
+    /// Which barriers they wait at.
+    waiters: Waiters,
     /// Local processors that have not terminated.
     active_local: usize,
     /// Latest local barrier-arrival or termination time this window
@@ -88,6 +92,7 @@ impl Report {
         Report {
             next_local: None,
             waiting: 0,
+            waiters: Waiters::default(),
             active_local: 0,
             arr_max: Cycle::ZERO,
             fin_max: Cycle::ZERO,
@@ -101,6 +106,7 @@ impl Report {
     fn observe(&mut self, core: &mut Core) {
         self.next_local = core.events.peek_horizon();
         self.waiting = core.waiting_count();
+        self.waiters = core.waiters();
         self.active_local = core.active;
         self.max_now = core.now;
     }
@@ -460,6 +466,11 @@ fn plan_round(ctrl: &Ctrl) {
     // replan with the resumed ProcSteps in the queues.
     if total_active > 0 && waiting_total == total_active {
         let at = coord.gen_max;
+        let waiters: Vec<Waiters> = coord.reports.iter().map(|r| r.waiters).collect();
+        if let Err(e) = Waiters::merge(&waiters).check(at) {
+            finish(coord, Verdict::Fail(e));
+            return;
+        }
         for p in &mut coord.plans {
             *p = Plan {
                 horizon: Cycle::ZERO,

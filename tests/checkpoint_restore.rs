@@ -11,6 +11,8 @@ use atomic_dsm::experiments::checkpoint::{self, CheckpointError, PauseOutcome};
 use atomic_dsm::experiments::runner::{self, Job, JobResult};
 use atomic_dsm::experiments::{apps::App, BarSpec, CounterKind, Scale};
 use atomic_dsm::protocol::SyncPolicy;
+use atomic_dsm::sim::snapshot::FORMAT_VERSION;
+use atomic_dsm::sim::SnapshotError;
 use atomic_dsm::sync::{LinkPrim, Primitive};
 use atomic_dsm::workloads::LfStructure;
 use atomic_dsm::MachineConfig;
@@ -169,6 +171,32 @@ fn tampered_checkpoint_is_refused() {
         Err(CheckpointError::Diverged { events, .. }) => assert_eq!(events, pause),
         other => panic!("tampered digest must diverge, got {other:?}"),
     }
+}
+
+/// A checkpoint written by the previous container version — whose
+/// replay coordinates count events of an engine that queued every local
+/// hit's completion — is refused as `BadVersion` before any replay, not
+/// reported as a divergence.
+#[test]
+fn previous_format_checkpoint_is_refused_as_bad_version() {
+    let (_, job) = workloads().remove(0);
+    let pause = checkpoint::total_events(&job).unwrap() / 2;
+    let paused = match checkpoint::run_with_pause(&job, pause).unwrap() {
+        PauseOutcome::Paused(p) => p,
+        PauseOutcome::Completed(_) => panic!("completed before pause"),
+    };
+    let path = tmp("old-version.ckpt");
+    paused.save(&path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[8..12].copy_from_slice(&(FORMAT_VERSION - 1).to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    match checkpoint::load(&path) {
+        Err(CheckpointError::Snapshot(SnapshotError::BadVersion { found, expected })) => {
+            assert_eq!((found, expected), (FORMAT_VERSION - 1, FORMAT_VERSION));
+        }
+        other => panic!("old-version checkpoint must be BadVersion, got {other:?}"),
+    }
+    let _ = std::fs::remove_file(&path);
 }
 
 /// A torn checkpoint *file* (bit flip on disk) fails the container
