@@ -392,7 +392,7 @@ fn fs_measure(sync: SyncConfig, other: Addr, procs: u32, rounds: u64) -> f64 {
 /// Measures the false-sharing table on the baseline machine: cached
 /// INV fetch&add, uncached fetch&add, and home-node fetch&add, each
 /// with the privately-owned counter pair packed into one line and
-/// split across lines (see [`fs_measure`] for the workload).
+/// split across lines (`fs_measure` builds the workload).
 pub fn false_sharing(procs: u32, rounds: u64) -> Vec<FalseSharingRow> {
     let configs = [
         (

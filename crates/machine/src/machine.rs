@@ -3,23 +3,32 @@
 //!
 //! The engine is split in two layers:
 //!
-//! * [`Core`] — the shardable simulation state (a contiguous node
+//! * `Core` — the shardable simulation state (a contiguous node
 //!   range: homes, caches, processors, network ports, per-node event
 //!   queue and statistics) plus the event dispatcher. A serial run uses
-//!   one full-range core; a PDES run ([`crate::pdes`]) splits the core
-//!   into per-worker shards and merges them back afterwards.
+//!   one full-range core; a PDES run (the `pdes` module) splits the
+//!   core into per-worker shards and merges them back afterwards.
 //! * [`Machine`] — the public wrapper owning the run policy and the
 //!   serial-only instrumentation (tracer, fault injector, paranoid
 //!   checking, debug ring), which all force the serial path so the
 //!   parallel dispatcher never has to synchronize on them.
 //!
 //! Every event carries an explicit 128-bit tie-break key (see
-//! [`key_wire`] / [`key_local`] / [`key_barrier`]): same-cycle events
+//! `key_wire` / `key_local` / `key_barrier`): same-cycle events
 //! dispatch in key order, the key of an event is derived only from
 //! deterministic per-node counters, and a key names the node it
 //! belongs to in its top bits. That is what makes the parallel engine
 //! bit-identical to the serial one — each shard dispatches exactly the
 //! subsequence of the serial dispatch order that touches its nodes.
+//!
+//! A processor running an [`Action::Spin`] whose watched line is cached
+//! and reads the awaited value is *parked*: it keeps its iteration
+//! schedule but has no queued event. Only a cache-side event at its
+//! node (a cache-bound message, an injected eviction or corruption)
+//! can change what the next load reads, so each such event first
+//! settles the iterations that sort before it — retiring them in bulk
+//! exactly as their dispatches would have — and then re-parks the
+//! spinner or queues its next iteration as an ordinary `ProcStep`.
 
 use crate::program::{Action, ProcCtx, Program};
 use crate::stats::{merge_node_stats, MachineStats, NodeStats, SyncRec, SyncRecKind};
@@ -154,6 +163,18 @@ pub enum RunError {
         /// The lowest-numbered processor waiting at a different id.
         other: (ProcId, u32),
     },
+    /// A program asked to spin ([`Action::Spin`]) on a registered
+    /// synchronization address — an error in the simulated program:
+    /// sync accesses are logged one by one for the contention
+    /// statistics, so a spin loop must watch an ordinary line.
+    SpinOnSync {
+        /// When the spin was requested.
+        at: Cycle,
+        /// The spinning processor.
+        proc: ProcId,
+        /// The watched address.
+        addr: Addr,
+    },
     /// The host wall-clock budget for this run elapsed before the
     /// simulation finished. Unlike every other variant this is a
     /// *transient* host condition, not a property of the simulated
@@ -219,6 +240,11 @@ impl fmt::Display for RunError {
             } => write!(
                 f,
                 "barrier mismatch at {at}: {p} waits at barrier {b} but {q} waits at barrier {c}"
+            ),
+            RunError::SpinOnSync { at, proc, addr } => write!(
+                f,
+                "at {at}: {proc} spins on synchronization address {addr}; \
+                 spin loops must watch ordinary lines"
             ),
             RunError::Timeout {
                 at,
@@ -494,9 +520,26 @@ struct ProcState {
     /// The action the program chose right after a local hit retired,
     /// taken by the `ProcStep` that resumes the processor.
     next: Option<Action>,
+    /// The spin loop the processor runs on its program's behalf
+    /// ([`Action::Spin`]), until a load reads something other than
+    /// `seen`.
+    spin: Option<SpinLoop>,
+    /// While parked: the cycle the spin's next iteration issues its
+    /// load at. Iteration `k` after it issues at `parked + k * period`
+    /// and sorts under `key_fused(p, issue - delay)`, the key its
+    /// `ProcStep` would have had.
+    parked: Option<Cycle>,
     /// The trace span of the outstanding operation (0 = none).
     /// Diagnostic-only; excluded from [`Machine::state_digest`].
     span: u64,
+}
+
+/// An [`Action::Spin`] in progress.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SpinLoop {
+    addr: Addr,
+    seen: Value,
+    delay: u64,
 }
 
 // ---------------------------------------------------------------------
@@ -717,7 +760,7 @@ impl Core {
                 Ok(Effect::None)
             }
             Event::Process(msg, span) => {
-                self.process(msg, span, io)?;
+                self.process(key, msg, span, io)?;
                 Ok(Effect::None)
             }
         }
@@ -845,15 +888,52 @@ impl Core {
         state.program.step(&mut ctx)
     }
 
+    /// The processor's next action as of `now`. While it spins, the
+    /// spin loop answers for the program: a finished compute phase
+    /// issues the load, a load that read `seen` computes again, and the
+    /// first load that read something else resumes the program with
+    /// that result. A program's new [`Action::Spin`] starts the loop
+    /// with its compute phase.
+    fn next_action(&mut self, p: ProcId, now: Cycle) -> Result<Action, RunError> {
+        let i = self.li(p.as_u32());
+        let state = &mut self.procs[i];
+        if let Some(spin) = state.spin {
+            match state.last {
+                None => return Ok(Action::Op(MemOp::Load { addr: spin.addr })),
+                Some(result) if result.value() == Some(spin.seen) => {
+                    state.last = None;
+                    state.last_chain = None;
+                    return Ok(Action::Compute(spin.delay));
+                }
+                Some(_) => state.spin = None,
+            }
+        }
+        match self.step_program(p, now) {
+            Action::Spin { addr, seen, delay } => {
+                if self.map.sync_config_for(addr).is_some() {
+                    return Err(RunError::SpinOnSync {
+                        at: now,
+                        proc: p,
+                        addr,
+                    });
+                }
+                self.procs[i].spin = Some(SpinLoop { addr, seen, delay });
+                Ok(Action::Compute(delay))
+            }
+            action => Ok(action),
+        }
+    }
+
     fn proc_step(&mut self, p: ProcId, io: &mut impl ShardIo) -> Result<Effect, RunError> {
         let i = self.li(p.as_u32());
         let state = &mut self.procs[i];
         if state.done || state.blocked || state.waiting_barrier.is_some() {
             return Ok(Effect::None);
         }
+        debug_assert!(state.parked.is_none(), "a parked processor has no ProcStep");
         let action = match state.next.take() {
             Some(action) => action,
-            None => self.step_program(p, self.now),
+            None => self.next_action(p, self.now)?,
         };
         match action {
             Action::Compute(cycles) => {
@@ -873,6 +953,7 @@ impl Core {
                 self.issue_op(p, op, io)?;
                 Ok(Effect::None)
             }
+            Action::Spin { .. } => unreachable!("next_action turns a spin into its steps"),
         }
     }
 
@@ -927,7 +1008,13 @@ impl Core {
         let at = self.now + self.cfg.params.cache_hit;
         self.retire(p, outcome, at, io)?;
         let resume = at + self.cfg.params.issue;
-        match self.step_program(p, resume) {
+        match self.next_action(p, resume)? {
+            // A spin whose next load would hit and read `seen` again:
+            // park it instead of queueing that load's `ProcStep`.
+            Action::Compute(_) if self.spin_would_hit(i) => {
+                let spin = self.procs[i].spin.expect("spin_would_hit checks it");
+                self.procs[i].parked = Some(resume + spin.delay);
+            }
             Action::Compute(cycles) => self.push_fused(resume + cycles, resume, p),
             action => {
                 self.procs[i].next = Some(action);
@@ -935,6 +1022,152 @@ impl Core {
             }
         }
         Ok(())
+    }
+
+    /// `true` if local processor `i` spins and its next load would hit
+    /// in its cache and read `seen`. Only cache-side events at the node
+    /// change that, and they settle and re-check parked spinners. (A
+    /// spin whose iterations take no time at all is never parked: it
+    /// has no schedule to keep.)
+    fn spin_would_hit(&self, i: usize) -> bool {
+        self.procs[i].spin.is_some_and(|spin| {
+            self.spin_period(spin) > 0 && self.caches[i].peek_word(spin.addr) == Some(spin.seen)
+        })
+    }
+
+    /// Cycles from one spin iteration's load issue to the next's.
+    fn spin_period(&self, spin: SpinLoop) -> u64 {
+        self.cfg.params.cache_hit + self.cfg.params.issue + spin.delay
+    }
+
+    /// The parked spin of local processor `i` and its iteration period.
+    fn parked(&self, i: usize) -> Option<(Cycle, SpinLoop, u64)> {
+        let state = &self.procs[i];
+        let (next, spin) = (state.parked?, state.spin?);
+        Some((next, spin, self.spin_period(spin)))
+    }
+
+    /// Retires the next `n` iterations of local processor `i`'s parked
+    /// spin, doing in bulk what each iteration's dispatch did: the cache
+    /// probe's LRU tick, the operation statistics, `last_retire`, and
+    /// (one by one, at their own cycles) the trace records.
+    fn retire_parked(&mut self, i: usize, n: u64, io: &mut impl ShardIo) {
+        let Some((next, spin, period)) = self.parked(i) else {
+            return;
+        };
+        if n == 0 {
+            return;
+        }
+        let hit = self.cfg.params.cache_hit;
+        let line = spin.addr.line(self.cfg.params.line_size);
+        let resident = self.caches[i].touch_hits(line, n);
+        debug_assert!(resident, "a parked spinner's line stays resident");
+        let ns = &mut self.nstats[i];
+        ns.ops += n;
+        ns.local_ops += n;
+        ns.op_latency.add_n(hit as f64, n);
+        ns.op_latency_hist.record_n(hit, n);
+        let last = next + (n - 1) * period;
+        self.last_retire = self.last_retire.max(last + hit);
+        if let Some(tracer) = io.tracer() {
+            let p = ProcId::new(self.lo + i as u32);
+            let label = MemOp::Load { addr: spin.addr }.label();
+            for k in 0..n {
+                let issued = next + k * period;
+                let span = tracer.span_begin(issued, p, label, line);
+                tracer.set_span_ctx(0);
+                tracer.span_end(issued + hit, p, span, "ok");
+                if tracer.wants(Category::Op) {
+                    tracer.op(p, issued, issued + hit, label, true, 0);
+                }
+            }
+        }
+        self.procs[i].parked = Some(next + n * period);
+    }
+
+    /// The key the `ProcStep` of a spin iteration issuing at `issue`
+    /// would have had.
+    fn spin_key(node: u32, issue: Cycle, spin: SpinLoop) -> u128 {
+        key_fused(node, Cycle::new(issue.as_u64() - spin.delay))
+    }
+
+    /// Settles `node`'s parked spin up to the event `(at, key)` about
+    /// to touch its cache: retires every iteration that sorts before it.
+    fn settle(&mut self, node: u32, at: Cycle, key: u128, io: &mut impl ShardIo) {
+        let i = self.li(node);
+        let Some((next, spin, period)) = self.parked(i) else {
+            return;
+        };
+        if next > at {
+            return;
+        }
+        let mut n = (at - next).as_u64() / period + 1;
+        let last = next + (n - 1) * period;
+        if last == at && Self::spin_key(node, last, spin) > key {
+            n -= 1;
+        }
+        self.retire_parked(i, n, io);
+    }
+
+    /// After a cache-side event at `node`: keeps its spinner parked if
+    /// the next load would still hit and read `seen`, otherwise queues
+    /// that load's `ProcStep` under the key it would have had.
+    fn recheck_parked(&mut self, node: u32) {
+        let i = self.li(node);
+        let Some((next, spin, _)) = self.parked(i) else {
+            return;
+        };
+        if self.spin_would_hit(i) {
+            return;
+        }
+        self.procs[i].parked = None;
+        self.push_fused(
+            next,
+            Cycle::new(next.as_u64() - spin.delay),
+            ProcId::new(node),
+        );
+    }
+
+    /// Retires, in global `(cycle, key)` order and one at a time, every
+    /// parked iteration that sorts before the event `(at, key)`. The
+    /// state this reaches is the one lazy settling reaches; the point is
+    /// that trace records come out in the order the iterations' own
+    /// dispatches emitted them (a drop-oldest ring keeps the same tail).
+    pub(crate) fn settle_all_before(&mut self, at: Cycle, key: u128, io: &mut impl ShardIo) {
+        loop {
+            let due = (0..self.procs.len())
+                .filter_map(|i| {
+                    let (next, spin, _) = self.parked(i)?;
+                    let k = Self::spin_key(self.lo + i as u32, next, spin);
+                    ((next, k) < (at, key)).then_some((next, k, i))
+                })
+                .min();
+            let Some((_, _, i)) = due else {
+                return;
+            };
+            self.retire_parked(i, 1, io);
+        }
+    }
+
+    /// `true` if any local processor is parked on a spin.
+    pub(crate) fn any_parked(&self) -> bool {
+        self.procs.iter().any(|s| s.parked.is_some())
+    }
+
+    /// The latest retirement the parked spinners' iterations up to `now`
+    /// made (the hit that parked a spinner included): what their
+    /// per-iteration dispatches would have left in `last_retire`.
+    pub(crate) fn parked_retire(&self, now: Cycle) -> Option<Cycle> {
+        let hit = self.cfg.params.cache_hit;
+        (0..self.procs.len())
+            .filter_map(|i| {
+                let (next, _, period) = self.parked(i)?;
+                // Iterations issued at or before `now`, counted from the
+                // one before `next` (the parking or last settled hit).
+                let ran = now.as_u64().saturating_sub(next.as_u64() - period) / period;
+                Some(Cycle::new(next.as_u64() - period + ran * period) + hit)
+            })
+            .max()
     }
 
     /// Completes processor `p`'s outstanding operation at cycle `at`
@@ -1046,7 +1279,13 @@ impl Core {
         Ok(())
     }
 
-    fn process(&mut self, msg: Box<Msg>, span: u64, io: &mut impl ShardIo) -> Result<(), RunError> {
+    fn process(
+        &mut self,
+        key: u128,
+        msg: Box<Msg>,
+        span: u64,
+        io: &mut impl ShardIo,
+    ) -> Result<(), RunError> {
         let node = self.li(msg.dst.as_u32());
         let dst = msg.dst;
         let line = msg.line;
@@ -1088,6 +1327,7 @@ impl Core {
             self.route(&mut out, io);
         } else {
             let proc = ProcId::new(msg.dst.as_u32());
+            self.settle(proc.as_u32(), self.now, key, io);
             let before = want_state.then(|| cache_label(self.caches[node].cache_state(line)));
             let completed =
                 self.caches[node]
@@ -1109,6 +1349,7 @@ impl Core {
                 let boxed = self.box_outcome(outcome);
                 self.push_local(self.now, proc.as_u32(), Event::OpDone(proc, boxed));
             }
+            self.recheck_parked(proc.as_u32());
         }
         self.outbox = out;
         if let Some(tracer) = io.tracer() {
@@ -1584,6 +1825,8 @@ impl MachineBuilder {
                 last_chain: None,
                 current: None,
                 next: None,
+                spin: None,
+                parked: None,
                 span: 0,
             })
             .collect();
@@ -1592,17 +1835,14 @@ impl MachineBuilder {
             .then(|| FaultInjector::new(faults.clone(), seed_rng.fork(0xFA17)));
         let mut homes = Vec::with_capacity(self.cfg.nodes as usize);
         let mut caches = Vec::with_capacity(self.cfg.nodes as usize);
-        // Each home serves roughly the lines that fit in one node's
-        // cache; each node can have a handful of events in flight
-        // (messages, processor steps, memory completions).
         if self.hna {
             self.map.enable_home_atomics();
         }
-        let resv_lines = self.cfg.cache.lines();
+        // Homes grow their tables on demand: paper workloads keep a few
+        // dozen lines per home, far below one cache's worth.
         let (mesh_width, _) = self.cfg.mesh_dims();
         for n in 0..self.cfg.nodes {
             let mut home = HomeNode::new(NodeId::new(n), self.cfg.params.line_size, self.llsc_pool);
-            home.reserve_lines(resv_lines);
             home.set_topology(
                 self.cfg.proto,
                 mesh_width,
@@ -1621,6 +1861,8 @@ impl MachineBuilder {
             map: self.map,
             mesh,
             now: Cycle::ZERO,
+            // Each node can have a handful of events in flight
+            // (messages, processor steps, memory completions).
             events: EventQueue::with_capacity(nodes as usize * 8),
             ports: NetPorts::new(nodes),
             homes,
@@ -1888,6 +2130,14 @@ impl Machine {
         self.paused = false;
         while self.core.active > 0 {
             let Some((at, key, event)) = self.core.events.pop_keyed() else {
+                if self.core.any_parked() {
+                    // Nothing can change a parked spinner's line any
+                    // more: it would spin until the limit.
+                    return Err(RunError::CycleLimit {
+                        limit,
+                        active: self.core.active,
+                    });
+                }
                 return Err(RunError::Deadlock {
                     at: self.core.now,
                     active: self.core.active,
@@ -1903,13 +2153,33 @@ impl Machine {
             }
             self.core.now = at;
             self.core.events_processed += 1;
-            self.poll_faults();
+            if self.tracer.is_some() {
+                let mut io = SerialIo {
+                    tracer: self.tracer.as_deref_mut(),
+                    ring: self.trace.as_mut(),
+                    injector: self.injector.as_mut(),
+                    paranoid: self.paranoid,
+                };
+                self.core.settle_all_before(at, key, &mut io);
+            }
+            self.poll_faults(key);
             self.check_watchdog()?;
             self.check_wall(started)?;
             if self.dispatch_serial(key, event)? != Effect::None {
                 self.core.try_release_barrier()?;
             }
             if self.should_pause(stop) {
+                // Settle parked spinners up to the pause, so the paused
+                // state (and its digest) is the one a traced run has.
+                let mut io = SerialIo {
+                    tracer: self.tracer.as_deref_mut(),
+                    ring: self.trace.as_mut(),
+                    injector: self.injector.as_mut(),
+                    paranoid: self.paranoid,
+                };
+                for node in 0..self.core.cfg.nodes {
+                    self.core.settle(node, at, key, &mut io);
+                }
                 self.paused = true;
                 return Ok(RunOutcome::Paused(RunReport {
                     cycles: self.core.now,
@@ -1954,54 +2224,68 @@ impl Machine {
         self.wall_limit = limit;
     }
 
-    /// Applies the window faults due at the current time, if any.
-    fn poll_faults(&mut self) {
+    /// Applies the window faults due at the current time, if any, ahead
+    /// of the event with queue key `key`. Faults that touch a cache
+    /// settle that node's parked spinner first and re-check it after.
+    fn poll_faults(&mut self, key: u128) {
         let fired = match &mut self.injector {
             Some(inj) => inj.poll(self.core.now.as_u64(), self.core.cfg.nodes),
             None => return,
         };
         for fault in fired {
-            match fault {
-                FaultEvent::EvictLine { node } => {
-                    let mut out = std::mem::replace(&mut self.core.outbox, Outbox::new());
-                    if self.core.caches[node.index()]
-                        .inject_evict(&mut out)
-                        .is_some()
-                    {
-                        self.injected_evictions += 1;
-                    }
-                    let mut io = SerialIo {
-                        tracer: self.tracer.as_deref_mut(),
-                        ring: self.trace.as_mut(),
-                        injector: self.injector.as_mut(),
-                        paranoid: self.paranoid,
-                    };
-                    self.core.route(&mut out, &mut io);
-                    self.core.outbox = out;
+            self.apply_fault(fault, key);
+        }
+    }
+
+    /// Applies one injected fault ahead of the event with queue key
+    /// `key`.
+    fn apply_fault(&mut self, fault: FaultEvent, key: u128) {
+        let now = self.core.now;
+        let mut io = SerialIo {
+            tracer: self.tracer.as_deref_mut(),
+            ring: self.trace.as_mut(),
+            injector: self.injector.as_mut(),
+            paranoid: self.paranoid,
+        };
+        match fault {
+            FaultEvent::EvictLine { node } => {
+                self.core.settle(node.as_u32(), now, key, &mut io);
+                let mut out = std::mem::replace(&mut self.core.outbox, Outbox::new());
+                if self.core.caches[node.index()]
+                    .inject_evict(&mut out)
+                    .is_some()
+                {
+                    self.injected_evictions += 1;
                 }
-                FaultEvent::WipeReservations { node } => {
-                    self.core.homes[node.index()].wipe_reservations();
-                    self.injected_wipes += 1;
-                    if let Some(tracer) = &mut self.tracer {
-                        if tracer.wants(Category::Resv) {
-                            tracer.reservation(self.core.now, node, "wipe");
-                        }
+                self.core.route(&mut out, &mut io);
+                self.core.outbox = out;
+                self.core.recheck_parked(node.as_u32());
+            }
+            FaultEvent::WipeReservations { node } => {
+                self.core.homes[node.index()].wipe_reservations();
+                self.injected_wipes += 1;
+                if let Some(tracer) = io.tracer() {
+                    if tracer.wants(Category::Resv) {
+                        tracer.reservation(now, node, "wipe");
                     }
                 }
-                FaultEvent::CorruptLine { node } => {
-                    // Promote the first shared resident line (stable
-                    // iteration order, so replays corrupt the same
-                    // line). A cache with no shared line absorbs the
-                    // fault silently.
-                    let victim = self.core.caches[node.index()]
-                        .cached_lines()
-                        .find(|(_, s)| *s == CacheState::Shared)
-                        .map(|(l, _)| l);
-                    if let Some(line) = victim {
-                        if self.core.caches[node.index()].corrupt_promote_shared(line) {
-                            self.injected_corruptions += 1;
-                        }
+            }
+            FaultEvent::CorruptLine { node } => {
+                // Promote the first shared resident line (stable
+                // iteration order, so replays corrupt the same
+                // line). A cache with no shared line absorbs the
+                // fault silently.
+                let victim = self.core.caches[node.index()]
+                    .cached_lines()
+                    .find(|(_, s)| *s == CacheState::Shared)
+                    .map(|(l, _)| l);
+                if let Some(line) = victim {
+                    // The promotion probes the line like a hit does.
+                    self.core.settle(node.as_u32(), now, key, &mut io);
+                    if self.core.caches[node.index()].corrupt_promote_shared(line) {
+                        self.injected_corruptions += 1;
                     }
+                    self.core.recheck_parked(node.as_u32());
                 }
             }
         }
@@ -2018,6 +2302,11 @@ impl Machine {
             // the program's business, not the protocol's.
             self.core.last_retire = self.core.last_retire.max(self.core.now);
             return Ok(());
+        }
+        // Parked spinners retire a hit every iteration, as their
+        // per-iteration dispatches did.
+        if let Some(at) = self.core.parked_retire(self.core.now) {
+            self.core.last_retire = self.core.last_retire.max(at);
         }
         // A local hit retires at its completion cycle while the
         // dispatch that issued it runs, so `last_retire` may lie ahead.
@@ -2131,8 +2420,13 @@ impl Machine {
     /// A digest of the machine's complete dynamic state: simulated
     /// time, the pending event queue, network ports, every cache, home
     /// directory and memory line, LL/SC reservations, per-processor
-    /// progress and RNG streams, server availability, statistics, and
-    /// fault-injector position.
+    /// progress, spin loops, park schedules and RNG streams, server
+    /// availability, statistics, and fault-injector position.
+    ///
+    /// Parked spinners are settled lazily while a run is under way, but
+    /// a pause ([`StopRule`]) settles them up to the last dispatched
+    /// event, so paused and finished machines hash the same with or
+    /// without a tracer (which settles them before every event).
     ///
     /// Two machines built from the same configuration that have
     /// dispatched the same event sequence produce equal digests; any
@@ -2233,6 +2527,28 @@ impl Machine {
                     h.write_u32(*b);
                 }
                 Some(Action::Done) => h.write_u8(4),
+                Some(Action::Spin { addr, seen, delay }) => {
+                    h.write_u8(5);
+                    h.write_u64(addr.as_u64());
+                    h.write_u64(*seen);
+                    h.write_u64(*delay);
+                }
+            }
+            match &proc.spin {
+                Some(spin) => {
+                    h.write_u8(1);
+                    h.write_u64(spin.addr.as_u64());
+                    h.write_u64(spin.seen);
+                    h.write_u64(spin.delay);
+                }
+                None => h.write_u8(0),
+            }
+            match proc.parked {
+                Some(next) => {
+                    h.write_u8(1);
+                    h.write_u64(next.as_u64());
+                }
+                None => h.write_u8(0),
             }
         }
         for c in &self.core.mem_busy {
@@ -2430,6 +2746,395 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsm_protocol::SyncPolicy;
+    use dsm_sim::SimParams;
+
+    /// Cycles a spin test's waiters compute between reads.
+    const DELAY: u64 = 4;
+    const FLAG0: Addr = Addr::new(0x400);
+    const FLAG1: Addr = Addr::new(0x800);
+    const FAR: Addr = Addr::new(0xc00);
+    const TEST_LIMIT: Cycle = Cycle::new(1_000_000);
+
+    /// A program that waits until the word at `addr` is nonzero, with
+    /// [`Action::Spin`] (`spin`) or with the `Compute`/`Load` loop the
+    /// spin stands for.
+    fn waiter(addr: Addr, spin: bool) -> impl FnMut(&mut ProcCtx<'_>) -> Action + Send {
+        let mut phase = 0;
+        move |ctx| match phase {
+            0 => {
+                phase = 1;
+                Action::Op(MemOp::Load { addr })
+            }
+            1 => match ctx.last.and_then(OpResult::value) {
+                Some(0) if spin => Action::Spin {
+                    addr,
+                    seen: 0,
+                    delay: DELAY,
+                },
+                Some(0) => {
+                    phase = 2;
+                    Action::Compute(DELAY)
+                }
+                _ => {
+                    phase = 3;
+                    Action::Done
+                }
+            },
+            2 => {
+                phase = 1;
+                Action::Op(MemOp::Load { addr })
+            }
+            _ => Action::Done,
+        }
+    }
+
+    /// A program that runs `script` in order, then finishes.
+    fn script(actions: Vec<Action>) -> impl FnMut(&mut ProcCtx<'_>) -> Action + Send {
+        let mut actions = actions.into_iter();
+        move |_| actions.next().unwrap_or(Action::Done)
+    }
+
+    /// Two waiters (processors 0 and 1) and a writer (processor 2) that
+    /// first disturbs flag 0's line without releasing it, then releases
+    /// both flags; processor 3 only reads flag 0's line (a sharer whose
+    /// traffic must not disturb the spinner).
+    fn flag_machine(params: SimParams, gaps: [u64; 3], spin: bool) -> Machine {
+        let mut cfg = MachineConfig::with_nodes(4);
+        cfg.params = params;
+        let mut b = MachineBuilder::new(cfg);
+        b.add_program(waiter(FLAG0, spin));
+        b.add_program(waiter(FLAG1, spin));
+        b.add_program(script(vec![
+            Action::Compute(gaps[0]),
+            Action::Op(MemOp::Store {
+                addr: FLAG0 + 8,
+                value: 5,
+            }),
+            Action::Compute(gaps[1]),
+            Action::Op(MemOp::Store {
+                addr: FLAG0,
+                value: 1,
+            }),
+            Action::Compute(gaps[2]),
+            Action::Op(MemOp::Store {
+                addr: FLAG1,
+                value: 1,
+            }),
+        ]));
+        b.add_program(script(vec![
+            Action::Compute(gaps[0] / 2),
+            Action::Op(MemOp::Load { addr: FLAG0 + 16 }),
+        ]));
+        b.build()
+    }
+
+    /// Everything a run simulates, without the event count and queue
+    /// layout that parking is allowed to change: completion time, merged
+    /// statistics, every cache (LRU clock and stamps included), home,
+    /// port and server, and the watchdog's retirement clock.
+    fn simulated(m: &Machine, report: RunReport) -> (u64, u64) {
+        let mut h = StableHasher::new();
+        m.stats().digest(&mut h);
+        for cache in &m.core.caches {
+            cache.digest(&mut h);
+        }
+        for home in &m.core.homes {
+            home.digest(&mut h);
+        }
+        m.core.ports.digest(&mut h);
+        for c in m.core.mem_busy.iter().chain(&m.core.cache_busy) {
+            h.write_u64(c.as_u64());
+        }
+        h.write_u64(m.core.last_retire.as_u64());
+        (report.cycles.as_u64(), h.finish())
+    }
+
+    #[test]
+    fn spin_simulates_exactly_its_explicit_loop() {
+        let mut parked_runs = 0;
+        for cache_ctrl in [2, 3, 4, 5] {
+            for issue in [1, 2] {
+                for gap in 0..12 {
+                    let params = SimParams {
+                        cache_ctrl,
+                        issue,
+                        ..SimParams::default()
+                    };
+                    let gaps = [40 + gap, 60 + 3 * gap, 25 + gap];
+                    let run = |spin| {
+                        let mut m = flag_machine(params.clone(), gaps, spin);
+                        let report = m.run(TEST_LIMIT).expect("flags get released");
+                        (simulated(&m, report), report.events)
+                    };
+                    let (looped, loop_events) = run(false);
+                    let (spun, spin_events) = run(true);
+                    assert_eq!(
+                        spun, looped,
+                        "cache_ctrl {cache_ctrl}, issue {issue}, gap {gap}"
+                    );
+                    assert!(spin_events <= loop_events);
+                    parked_runs += usize::from(spin_events < loop_events);
+                }
+            }
+        }
+        assert!(
+            parked_runs > 80,
+            "spinners parked in {parked_runs} of 96 runs"
+        );
+    }
+
+    #[test]
+    fn settle_retires_iterations_sorting_before_a_same_cycle_event() {
+        let mut m = flag_machine(SimParams::default(), [400, 400, 400], true);
+        let out = m.run_until(TEST_LIMIT, StopRule::PauseAt(Cycle::new(150)));
+        assert!(matches!(out, Ok(RunOutcome::Paused(_))));
+        let next = m.core.procs[0].parked.expect("processor 0 is parked");
+        let period = 1 + 1 + DELAY;
+        let ops = |m: &Machine| m.core.nstats[0].ops;
+        let mut io = SerialIo {
+            tracer: None,
+            ring: None,
+            injector: None,
+            paranoid: false,
+        };
+        // Two periods on, at the cycle iteration 2 is due. A Process
+        // pushed when that iteration's ProcStep would have been pushed
+        // (`cache_ctrl == DELAY` makes this the common tie) sorts first,
+        // so only iterations 0 and 1 ran before it.
+        let due = next + 2 * period;
+        let before = ops(&m);
+        let pushed_with = Cycle::new(due.as_u64() - DELAY);
+        m.core.settle(0, due, key_local(0, pushed_with, 0), &mut io);
+        assert_eq!(ops(&m) - before, 2);
+        assert_eq!(m.core.procs[0].parked, Some(due));
+        // A Process pushed a cycle later sorts after iteration 2.
+        m.core
+            .settle(0, due, key_local(0, pushed_with + 1, 0), &mut io);
+        assert_eq!(ops(&m) - before, 3);
+        assert_eq!(m.core.procs[0].parked, Some(due + period));
+        // Settling is idempotent up to the same event.
+        m.core
+            .settle(0, due, key_local(0, pushed_with + 1, 0), &mut io);
+        assert_eq!(ops(&m) - before, 3);
+    }
+
+    /// Processor 0 spins on flag 0 (parked by cycle 200), processor 1
+    /// shares the line, processor 2 releases the flag at cycle 400.
+    /// Returns the machine paused at cycle 200 and, if `fault` is given,
+    /// with that fault applied ahead of an event at cycle 260.
+    fn faulted_spinner(fault: Option<FaultEvent>) -> Machine {
+        let mut b = MachineBuilder::new(MachineConfig::with_nodes(4));
+        b.add_program(waiter(FLAG0, true));
+        // A second reader keeps the line shared, so corruption (which
+        // promotes a shared line) finds it.
+        b.add_program(script(vec![Action::Op(MemOp::Load { addr: FLAG0 })]));
+        b.add_program(script(vec![
+            Action::Compute(200),
+            Action::Compute(200),
+            Action::Op(MemOp::Store {
+                addr: FLAG0,
+                value: 1,
+            }),
+        ]));
+        b.add_program(script(vec![]));
+        let mut m = b.build();
+        let out = m.run_until(TEST_LIMIT, StopRule::PauseAt(Cycle::new(150)));
+        assert!(matches!(out, Ok(RunOutcome::Paused(_))));
+        assert_eq!(m.now(), Cycle::new(200));
+        assert!(m.core.procs[0].parked.is_some());
+        if let Some(fault) = fault {
+            let at = Cycle::new(260);
+            m.core.now = at;
+            m.apply_fault(fault, key_local(0, at, 0));
+        }
+        m
+    }
+
+    /// Processor 0's cache digest (LRU clock and stamps included).
+    fn cache0(m: &Machine) -> u64 {
+        let mut h = StableHasher::new();
+        m.core.caches[0].digest(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn corrupting_the_watched_line_settles_the_spinner_first() {
+        let clean = faulted_spinner(None);
+        let corrupted = faulted_spinner(Some(FaultEvent::CorruptLine {
+            node: NodeId::new(0),
+        }));
+        // The promotion probes the line like a hit, so the ten
+        // iterations issued in (200, 260) retired before it; the value
+        // did not change, so the spinner stays parked.
+        let period = 1 + 1 + DELAY;
+        assert_eq!(corrupted.core.nstats[0].ops, clean.core.nstats[0].ops + 10);
+        let next = clean.core.procs[0].parked.unwrap();
+        assert_eq!(corrupted.core.procs[0].parked, Some(next + 10 * period));
+        assert_ne!(cache0(&corrupted), cache0(&clean));
+        assert_eq!(corrupted.injected_faults().2, 1);
+    }
+
+    #[test]
+    fn evicting_the_watched_line_wakes_the_spinner() {
+        let misses = |mut m: Machine| {
+            m.run(TEST_LIMIT).expect("the flag is released");
+            assert!(m.core.procs[0].done);
+            let stats = &m.core.nstats[0];
+            stats.ops - stats.local_ops
+        };
+        let evicted = faulted_spinner(Some(FaultEvent::EvictLine {
+            node: NodeId::new(0),
+        }));
+        assert_eq!(evicted.core.procs[0].parked, None, "the next load misses");
+        assert_eq!(evicted.injected_faults().0, 1);
+        let clean = misses(faulted_spinner(None));
+        assert_eq!(
+            misses(evicted),
+            clean + 1,
+            "one extra miss after the eviction"
+        );
+    }
+
+    /// A trace sink that keeps every event, in emission order.
+    struct Collect(std::sync::Arc<std::sync::Mutex<Vec<dsm_trace::TraceEvent>>>);
+
+    impl dsm_trace::TraceSink for Collect {
+        fn record(&mut self, ev: &dsm_trace::TraceEvent) {
+            self.0.lock().unwrap().push(*ev);
+        }
+        fn write_to(&self, _: &mut dyn std::io::Write) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_traced_spin_emits_the_records_of_its_explicit_loop() {
+        // Same records, same span ids, same order: a drop-oldest ring
+        // keeps the same tail whichever form the program uses.
+        let records = |spin: bool| {
+            let mut m = flag_machine(SimParams::default(), [40, 60, 25], spin);
+            m.attach_tracer(&TraceSpec {
+                perfetto: false,
+                out: None,
+                ring: None,
+                ring_out: None,
+                cats: dsm_trace::Categories::all(),
+            });
+            let log = std::sync::Arc::default();
+            let sink = Collect(std::sync::Arc::clone(&log));
+            m.tracer_mut().unwrap().add_sink(Box::new(sink));
+            m.run(TEST_LIMIT).expect("flags get released");
+            let events = log.lock().unwrap().clone();
+            events
+        };
+        let looped = records(false);
+        assert!(looped.len() > 100);
+        assert_eq!(records(true), looped);
+    }
+
+    #[test]
+    fn a_paused_digest_is_the_same_with_or_without_a_tracer() {
+        // A tracer settles parked spinners before every event, an
+        // untraced run only when their node's cache is touched; a pause
+        // settles both up to the same point. (Paused runs write no
+        // trace files.)
+        let paused = |traced: bool| {
+            let mut m = flag_machine(SimParams::default(), [400, 400, 400], true);
+            if traced {
+                m.attach_tracer(&TraceSpec::from_spec("ring:64").unwrap());
+            }
+            let out = m.run_until(TEST_LIMIT, StopRule::PauseAt(Cycle::new(300)));
+            assert!(matches!(out, Ok(RunOutcome::Paused(_))));
+            assert!(m.core.any_parked());
+            m.state_digest()
+        };
+        assert_eq!(paused(false), paused(true));
+    }
+
+    #[test]
+    fn a_spin_nobody_ends_hits_the_cycle_limit_on_both_engines() {
+        for workers in [1, 2] {
+            let mut b = MachineBuilder::new(MachineConfig::with_nodes(2));
+            b.with_workers(workers);
+            b.add_program(waiter(FLAG0, true));
+            b.add_program(script(vec![]));
+            let err = b.build().run(Cycle::new(100_000)).unwrap_err();
+            assert!(
+                matches!(err, RunError::CycleLimit { active: 1, .. }),
+                "{workers} workers: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_parked_spinner_keeps_the_watchdog_quiet() {
+        // Processor 1's miss on a far line takes longer than the
+        // watchdog window; processor 0's spin hits retire every six
+        // cycles meanwhile, so the run must not count as a livelock.
+        // (Every other miss in the run fits in the window.)
+        // Homed at node 63 and dirty at node 56 of an 8x8 mesh: a
+        // three-hop miss across the machine.
+        let far = FAR + 31 * 32;
+        // Homed at node 0, next to the writer.
+        let flag = Addr::new(64 * 32);
+        let run = |spinner: bool| {
+            let mut cfg = MachineConfig::with_nodes(64);
+            cfg.faults.watchdog = 80;
+            let mut b = MachineBuilder::new(cfg);
+            if spinner {
+                b.add_program(waiter(flag, true));
+            } else {
+                b.add_program(script(vec![]));
+            }
+            b.add_program(script(vec![
+                Action::Compute(100),
+                Action::Op(MemOp::Load { addr: far }),
+                Action::Op(MemOp::Store {
+                    addr: flag,
+                    value: 1,
+                }),
+            ]));
+            for p in 2..64 {
+                b.add_program(script(if p == 56 {
+                    vec![Action::Op(MemOp::Store {
+                        addr: far,
+                        value: 7,
+                    })]
+                } else {
+                    vec![]
+                }));
+            }
+            b.build().run(TEST_LIMIT)
+        };
+        let quiet = run(false);
+        assert!(
+            matches!(quiet, Err(RunError::Livelock { .. })),
+            "the window is shorter than the miss: {quiet:?}"
+        );
+        let report = run(true).expect("spin hits count as progress");
+        assert!(report.cycles.as_u64() > 100);
+    }
+
+    #[test]
+    fn spinning_on_a_sync_line_is_a_typed_error() {
+        let mut b = MachineBuilder::new(MachineConfig::with_nodes(2));
+        b.register_sync(
+            FLAG0,
+            SyncConfig {
+                policy: SyncPolicy::Inv,
+                ..SyncConfig::default()
+            },
+        );
+        b.add_program(waiter(FLAG0, true));
+        b.add_program(script(vec![]));
+        let err = b.build().run(TEST_LIMIT).unwrap_err();
+        assert!(
+            matches!(err, RunError::SpinOnSync { addr: FLAG0, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("synchronization address"));
+    }
 
     /// A node's local pushes over a few cycles, as `(push cycle,
     /// sequence within the cycle)`: several pushes in some cycles, and

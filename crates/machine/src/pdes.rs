@@ -72,6 +72,9 @@ struct Report {
     waiters: Waiters,
     /// Local processors that have not terminated.
     active_local: usize,
+    /// Some local processor is parked on a spin (and has no queued
+    /// event).
+    parked: bool,
     /// Latest local barrier-arrival or termination time this window
     /// (`Cycle::ZERO` when none happened).
     arr_max: Cycle,
@@ -94,6 +97,7 @@ impl Report {
             waiting: 0,
             waiters: Waiters::default(),
             active_local: 0,
+            parked: false,
             arr_max: Cycle::ZERO,
             fin_max: Cycle::ZERO,
             max_now: Cycle::ZERO,
@@ -108,6 +112,7 @@ impl Report {
         self.waiting = core.waiting_count();
         self.waiters = core.waiters();
         self.active_local = core.active;
+        self.parked = core.any_parked();
         self.max_now = core.now;
     }
 }
@@ -483,12 +488,18 @@ fn plan_round(ctrl: &Ctrl) {
     let gvt = eff_next.iter().flatten().copied().min();
     let Some(gvt) = gvt else {
         // No pending work anywhere. Either everything terminated (the
-        // normal end) or active processors starved (a protocol or
-        // program bug — the serial engine's deadlock).
+        // normal end), a parked spinner would spin until the limit, or
+        // active processors starved (a protocol or program bug — the
+        // serial engine's deadlock).
         let verdict = if total_active == 0 {
             Verdict::Done {
                 cycles: coord.fin_max,
             }
+        } else if coord.reports.iter().any(|r| r.parked) {
+            Verdict::Fail(RunError::CycleLimit {
+                limit: ctrl.limit,
+                active: total_active,
+            })
         } else {
             let at = coord
                 .reports

@@ -4,11 +4,11 @@
 //! What the results depend on is the *memory-reference stream* each
 //! processor generates, so our processors run [`Program`] state machines
 //! that yield one [`Action`] at a time: a memory operation, a block of
-//! local computation, a constant-time barrier (which MINT provided for
-//! exactly this purpose), or termination.
+//! local computation, a spin on a cached word, a constant-time barrier
+//! (which MINT provided for exactly this purpose), or termination.
 
-use dsm_protocol::{MemOp, OpResult};
-use dsm_sim::{Cycle, ProcId, SimRng};
+use dsm_protocol::{MemOp, OpResult, Value};
+use dsm_sim::{Addr, Cycle, ProcId, SimRng};
 
 /// What a processor does next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,6 +18,30 @@ pub enum Action {
     Op(MemOp),
     /// Compute locally for the given number of cycles.
     Compute(u64),
+    /// Spin on a local copy: compute `delay` cycles, then load `addr`,
+    /// and repeat while the load reads `seen`. The program is resumed
+    /// with the first load result that differs, as if it had issued
+    /// that load itself; it is not consulted between iterations.
+    ///
+    /// Every iteration is an ordinary [`MemOp::Load`] with the timing,
+    /// statistics and trace records of the equivalent
+    /// `Compute(delay)` / `Op(Load)` loop, so a program's results do not
+    /// depend on which form it uses. The machine, though, can *park* a
+    /// spinner whose line is cached and reads `seen`: the iterations
+    /// then cost no event, and the ones that ran are retired in bulk
+    /// when something at the processor's node could change the line.
+    ///
+    /// `addr` must not lie on a registered synchronization line: sync
+    /// accesses are logged one by one for the contention statistics.
+    /// A spin on one fails the run with `RunError::SpinOnSync`.
+    Spin {
+        /// The watched word.
+        addr: Addr,
+        /// The value the loop waits to see change.
+        seen: Value,
+        /// Cycles computed before each load.
+        delay: u64,
+    },
     /// Wait at the constant-time barrier with the given id. All
     /// processors that have not terminated must reach the same barrier;
     /// they resume simultaneously and the barrier itself costs zero

@@ -113,6 +113,24 @@ impl Cache {
         Some(l)
     }
 
+    /// Applies `n` consecutive hits on a resident `line` at once: the
+    /// LRU clock advances by `n` and the line carries the last stamp,
+    /// exactly as `n` calls to [`get_mut`](Cache::get_mut) would leave
+    /// them. Returns `false` (and changes nothing) if the line is not
+    /// resident.
+    pub fn touch_n(&mut self, line: LineAddr, n: u64) -> bool {
+        if n == 0 {
+            return self.peek(line).is_some();
+        }
+        if self.get_mut(line).is_none() {
+            return false;
+        }
+        self.tick += n - 1;
+        let idx = self.set_index(line);
+        self.sets[idx][0].lru = self.tick;
+        true
+    }
+
     /// Returns the resident line without touching LRU state.
     pub fn peek(&self, line: LineAddr) -> Option<&CacheLine> {
         self.sets[self.set_index(line)]
@@ -246,6 +264,30 @@ mod tests {
         assert!(ev.is_none());
         assert_eq!(c.state(LineAddr::new(0)), Some(CacheState::Exclusive));
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn touch_n_equals_n_hits() {
+        let fill = |c: &mut Cache| {
+            for l in [0u64, 2, 4] {
+                c.insert(LineAddr::new(l), CacheState::Shared, LineData::zeroed(32));
+            }
+        };
+        let (mut bulk, mut one_by_one) = (cache(2, 4), cache(2, 4));
+        fill(&mut bulk);
+        fill(&mut one_by_one);
+        assert!(bulk.touch_n(LineAddr::new(2), 5));
+        for _ in 0..5 {
+            one_by_one.get_mut(LineAddr::new(2)).unwrap();
+        }
+        let digest = |c: &Cache| {
+            let mut h = dsm_sim::StableHasher::new();
+            c.digest(&mut h);
+            h.finish()
+        };
+        assert_eq!(digest(&bulk), digest(&one_by_one));
+        assert!(!bulk.touch_n(LineAddr::new(6), 3), "absent line");
+        assert_eq!(digest(&bulk), digest(&one_by_one), "a miss changes nothing");
     }
 
     #[test]

@@ -140,6 +140,14 @@ impl CacheNode {
             .map(|l| l.data.word(addr))
     }
 
+    /// Applies `n` load hits on the resident `line` at once, leaving
+    /// the cache exactly as `n` hitting loads would (the machine
+    /// retires parked spin iterations this way). Returns `false` if
+    /// the line is not resident.
+    pub fn touch_hits(&mut self, line: LineAddr, n: u64) -> bool {
+        self.cache.touch_n(line, n)
+    }
+
     /// `true` if an operation is outstanding.
     pub fn busy(&self) -> bool {
         self.mshr.is_some()

@@ -37,10 +37,13 @@ pub const MAGIC: [u8; 8] = *b"DSMSNAP\0";
 /// fields (proto, clusters, cluster penalty, home atomics); v4 = a
 /// local cache hit retires inside the dispatch that issues it, so the
 /// event counts behind checkpoint replay coordinates and the event
-/// boundaries reproducer fault windows fire at have changed. Old
-/// entries surface as `BadVersion`, get quarantined by their consumers,
-/// and are regenerated deterministically.
-pub const FORMAT_VERSION: u32 = 4;
+/// boundaries reproducer fault windows fire at have changed; v5 = a
+/// spinning processor whose cached line reads the awaited value parks
+/// without queued events, so those coordinates changed again and the
+/// machine state a checkpoint verifies holds the spin and park state.
+/// Old entries surface as `BadVersion`, get quarantined by their
+/// consumers, and are regenerated deterministically.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// What a container's payload encodes. Stored in the header so a
 /// checkpoint can never be misread as a cache entry or vice versa.

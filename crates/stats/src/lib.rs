@@ -73,6 +73,22 @@ impl OnlineMean {
         self.max = Some(self.max.map_or(v, |m| m.max(v)));
     }
 
+    /// Adds `n` samples of the same value, leaving the accumulator
+    /// bit-identical to `n` calls to [`add`](OnlineMean::add).
+    pub fn add_n(&mut self, v: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        // One float addition per sample: a single `v * n` would round
+        // differently once the sum is not exactly representable.
+        for _ in 0..n {
+            self.sum += v;
+        }
+        self.count += n;
+        self.min = Some(self.min.map_or(v, |m| m.min(v)));
+        self.max = Some(self.max.map_or(v, |m| m.max(v)));
+    }
+
     /// The mean of all samples, or 0.0 if none.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -142,6 +158,21 @@ mod tests {
         assert_eq!(m.count(), 0);
         assert_eq!(m.min(), None);
         assert_eq!(m.max(), None);
+    }
+
+    #[test]
+    fn add_n_equals_repeated_add() {
+        // 0.1 is inexact, so a single multiply would round differently.
+        let (mut bulk, mut single) = (OnlineMean::new(), OnlineMean::new());
+        bulk.add(7.0);
+        single.add(7.0);
+        bulk.add_n(0.1, 1000);
+        for _ in 0..1000 {
+            single.add(0.1);
+        }
+        bulk.add_n(3.0, 0);
+        assert_eq!(bulk, single);
+        assert_eq!(bulk.sum().to_bits(), single.sum().to_bits());
     }
 
     #[test]

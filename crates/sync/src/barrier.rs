@@ -153,9 +153,12 @@ impl SubMachine for TreeBarrierWait {
                         self.state = WaitState::CheckChild(slot + 1);
                         continue;
                     }
-                    // Still waiting: re-read after a short spin.
-                    self.state = WaitState::CheckChild(slot);
-                    return Step::Compute(SPIN_DELAY);
+                    // Still waiting: spin on the flag until it changes.
+                    return Step::Spin {
+                        addr: self.own_flags + slot as u64 * 8,
+                        seen: v,
+                        delay: SPIN_DELAY,
+                    };
                 }
                 WaitState::ResetChild(slot) => {
                     if slot >= ARRIVAL_ARITY {
@@ -200,8 +203,11 @@ impl SubMachine for TreeBarrierWait {
                         self.state = WaitState::WakeChild(0);
                         continue;
                     }
-                    self.state = WaitState::SpinParent;
-                    return Step::Compute(SPIN_DELAY);
+                    return Step::Spin {
+                        addr: self.own_sense_word,
+                        seen: v,
+                        delay: SPIN_DELAY,
+                    };
                 }
                 WaitState::WakeChild(i) => {
                     if (i as usize) < self.wakeup_children.len() {
@@ -290,6 +296,8 @@ mod tests {
         let mut waits: Vec<TreeBarrierWait> = (0..nprocs).map(|p| b.wait(p, 1)).collect();
         let mut last: Vec<Option<OpResult>> = vec![None; nprocs as usize];
         let mut done = vec![false; nprocs as usize];
+        let mut spinning: Vec<Option<(Addr, u64)>> = vec![None; nprocs as usize];
+        let mut spin_reads = 0;
         // Hold processor 7 back for a while.
         let delayed: usize = 7;
         let mut ticks = 0;
@@ -300,6 +308,22 @@ mod tests {
                 if done[p] || (p == delayed && ticks < 50) {
                     continue;
                 }
+                // A spinning processor re-reads its flag once per tick
+                // and resumes only when the value changed.
+                if let Some((addr, seen)) = spinning[p] {
+                    let value = mem.get(&addr.as_u64()).copied().unwrap_or(0);
+                    spin_reads += 1;
+                    if value == seen {
+                        continue;
+                    }
+                    spinning[p] = None;
+                    last[p] = Some(OpResult::Loaded {
+                        value,
+                        serial: None,
+                        reserved: false,
+                    });
+                    continue;
+                }
                 match waits[p].step(last[p].take(), &mut rng) {
                     Step::Op(MemOp::Load { addr }) => {
                         last[p] = Some(OpResult::Loaded {
@@ -307,6 +331,10 @@ mod tests {
                             serial: None,
                             reserved: false,
                         });
+                    }
+                    Step::Spin { addr, seen, delay } => {
+                        assert_eq!(delay, SPIN_DELAY);
+                        spinning[p] = Some((addr, seen));
                     }
                     Step::Op(MemOp::Store { addr, value }) => {
                         mem.insert(addr.as_u64(), value);
@@ -324,6 +352,10 @@ mod tests {
                 }
             }
         }
+        assert!(
+            spin_reads > 0,
+            "waiters spun while processor 7 was held back"
+        );
     }
 
     #[test]

@@ -54,9 +54,9 @@ impl McsQnode {
     }
 }
 
-/// How long (cycles) a waiter sleeps between spin reads of its `locked`
-/// flag. Spins are local cache hits under the INV base protocol, so this
-/// mainly bounds simulator event counts.
+/// How long (cycles) a waiter computes between spin reads of its
+/// `locked` flag or `next` pointer. Spins are local cache hits under the
+/// INV base protocol; the delay sets their simulated rate.
 const SPIN_DELAY: u64 = 4;
 
 /// Acquire side of the MCS lock.
@@ -244,8 +244,11 @@ impl SubMachine for McsAcquire {
                 if v == 0 {
                     Step::Done
                 } else {
-                    self.state = AcqState::SpinLoad;
-                    Step::Compute(SPIN_DELAY)
+                    Step::Spin {
+                        addr: self.qnode.locked,
+                        seen: v,
+                        delay: SPIN_DELAY,
+                    }
                 }
             }
         }
@@ -272,7 +275,6 @@ enum RelState {
     WaitCas,
     WaitLl,
     WaitSc,
-    SpinNext,
     WaitSpinNext,
     // FAΦ (swap-only) path.
     WaitSwapOut,
@@ -321,6 +323,17 @@ impl McsRelease {
             addr: Addr::new(successor + 8),
             value: 0,
         })
+    }
+
+    /// Waits for a successor to link itself behind us: spin on our
+    /// `next` word until it is no longer nil.
+    fn spin_next(&mut self) -> Step {
+        self.state = RelState::WaitSpinNext;
+        Step::Spin {
+            addr: self.qnode.next,
+            seen: 0,
+            delay: SPIN_DELAY,
+        }
     }
 
     /// Finishes the release, optionally dropping the cached copy of the
@@ -392,8 +405,7 @@ impl SubMachine for McsRelease {
                 OpResult::CasDone { success: true, .. } => self.finish(),
                 OpResult::CasDone { success: false, .. } => {
                     // Someone is enqueueing behind us: wait for the link.
-                    self.state = RelState::SpinNext;
-                    Step::Compute(SPIN_DELAY)
+                    self.spin_next()
                 }
                 other => panic!("expected CasDone, got {other:?}"),
             },
@@ -410,8 +422,7 @@ impl SubMachine for McsRelease {
                     })
                 } else {
                     // Tail moved on: a successor is linking itself.
-                    self.state = RelState::SpinNext;
-                    Step::Compute(SPIN_DELAY)
+                    self.spin_next()
                 }
             }
             RelState::WaitBareSc => match last.expect("SC result") {
@@ -440,19 +451,12 @@ impl SubMachine for McsRelease {
                 }
                 other => panic!("expected ScDone, got {other:?}"),
             },
-            RelState::SpinNext => {
-                self.state = RelState::WaitSpinNext;
-                Step::Op(MemOp::Load {
-                    addr: self.qnode.next,
-                })
-            }
             RelState::WaitSpinNext => {
                 let next = last.expect("spin read").value().expect("load value");
                 if next != 0 {
                     self.unlock_successor(next)
                 } else {
-                    self.state = RelState::SpinNext;
-                    Step::Compute(SPIN_DELAY)
+                    self.spin_next()
                 }
             }
             RelState::WaitSwapOut => {
@@ -489,8 +493,11 @@ impl SubMachine for McsRelease {
             RelState::FapWaitSpinNext { usurper } => {
                 let next = last.expect("spin read").value().expect("load value");
                 if next == 0 {
-                    self.state = RelState::FapSpinNext { usurper };
-                    return Step::Compute(SPIN_DELAY);
+                    return Step::Spin {
+                        addr: self.qnode.next,
+                        seen: 0,
+                        delay: SPIN_DELAY,
+                    };
                 }
                 if usurper != 0 {
                     // An usurper grabbed the lock word while it was nil;
@@ -635,20 +642,31 @@ mod tests {
         let acquired_after_release = loop {
             match acq1.step(last.take(), &mut rng) {
                 Step::Op(op) => last = Some(mem.eval(op)),
-                Step::Compute(_) => {
-                    spun += 1;
-                    if spun == 3 {
-                        // Release P0 mid-spin.
-                        let mut rel0 =
-                            McsRelease::new(lock(), q0, PrimChoice::plain(Primitive::Cas));
-                        drive_sync(&mut rel0, &mut rng, 1000, |op| mem.eval(op));
+                Step::Spin { addr, seen, .. } => {
+                    assert_eq!(addr, q1.locked, "P1 spins on its own flag");
+                    // Re-read the flag until it changes.
+                    loop {
+                        spun += 1;
+                        if spun == 3 {
+                            // Release P0 mid-spin.
+                            let mut rel0 =
+                                McsRelease::new(lock(), q0, PrimChoice::plain(Primitive::Cas));
+                            drive_sync(&mut rel0, &mut rng, 1000, |op| mem.eval(op));
+                        }
+                        assert!(spun < 100, "P1 never got the lock");
+                        let read = mem.eval(MemOp::Load { addr });
+                        if read.value() != Some(seen) {
+                            last = Some(read);
+                            break;
+                        }
                     }
-                    assert!(spun < 100, "P1 never got the lock");
                 }
+                Step::Compute(_) => panic!("the MCS acquire waits only through Step::Spin"),
                 Step::Done => break true,
             }
         };
         assert!(acquired_after_release);
+        assert!(spun >= 3, "P1 was still spinning when P0 released");
         assert_eq!(mem.get(q0.next), q1.id(), "P0's next linked to P1");
         assert_eq!(mem.get(q1.locked), 0, "P0 unlocked P1 on release");
         assert_eq!(mem.get(TAIL), q1.id(), "tail now points at P1");
@@ -669,6 +687,38 @@ mod tests {
         assert_eq!(ops, 2, "read next + unlock successor");
         assert_eq!(mem.get(q1.locked), 0);
         assert_eq!(mem.get(TAIL), q1.id(), "tail untouched");
+    }
+
+    #[test]
+    fn release_spins_on_next_until_the_successor_links() {
+        // P1 has swapped itself in behind P0 but not yet linked, so P0's
+        // CAS release fails and P0 must wait for the link.
+        let mut mem = Mem::default();
+        let mut rng = SimRng::new(1);
+        let (q0, q1) = (qnode(0), qnode(1));
+        mem.words.insert(TAIL.as_u64(), q1.id());
+        mem.words.insert(q1.locked.as_u64(), 1);
+        let mut rel = McsRelease::new(lock(), q0, PrimChoice::plain(Primitive::Cas));
+        let mut last = None;
+        let spin = loop {
+            match rel.step(last.take(), &mut rng) {
+                Step::Op(op) => last = Some(mem.eval(op)),
+                Step::Spin { addr, seen, delay } => break (addr, seen, delay),
+                other => panic!("release finished without the link: {other:?}"),
+            }
+        };
+        assert_eq!(spin, (q0.next, 0, SPIN_DELAY), "spin on our nil next word");
+        // P1 links; the spin's first differing read resumes the release.
+        mem.words.insert(q0.next.as_u64(), q1.id());
+        last = Some(mem.eval(MemOp::Load { addr: q0.next }));
+        assert_eq!(
+            rel.step(last.take(), &mut rng),
+            Step::Op(MemOp::Store {
+                addr: q1.locked,
+                value: 0,
+            }),
+            "hand the lock to P1"
+        );
     }
 
     #[test]
@@ -704,6 +754,7 @@ mod tests {
                     }
                 }
                 Step::Compute(_) => {}
+                Step::Spin { .. } => panic!("P1's link is in place before P0 looks for it"),
                 Step::Done => break,
             }
         }

@@ -458,6 +458,7 @@ mod tests {
                     }
                 }
                 Step::Compute(_) => {}
+                Step::Spin { .. } => unreachable!("no spin loop here"),
                 Step::Done => break,
             }
         }

@@ -5,8 +5,8 @@
 //! drive one sub-machine at a time, feeding it operation results until
 //! it reports [`Step::Done`].
 
-use dsm_protocol::{MemOp, OpResult};
-use dsm_sim::SimRng;
+use dsm_protocol::{MemOp, OpResult, Value};
+use dsm_sim::{Addr, SimRng};
 
 /// One step of a sub-machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,6 +15,21 @@ pub enum Step {
     Op(MemOp),
     /// Compute locally (e.g. backoff) and come back with `last == None`.
     Compute(u64),
+    /// Spin on a local copy: compute `delay` cycles, load `addr`, and
+    /// repeat while the load reads `seen`; come back with the first
+    /// load result that differs. The loads are ordinary operations —
+    /// same timing, statistics and traffic as the equivalent
+    /// `Compute(delay)` / `Op(Load)` loop — but the machine can retire
+    /// the iterations that hit in the local cache in bulk. `addr` must
+    /// not be a registered synchronization address.
+    Spin {
+        /// The watched word.
+        addr: Addr,
+        /// The value the loop waits to see change.
+        seen: Value,
+        /// Cycles computed before each load.
+        delay: u64,
+    },
     /// The fragment finished.
     Done,
 }
@@ -23,7 +38,8 @@ pub enum Step {
 ///
 /// The first call to [`step`](SubMachine::step) receives `last == None`;
 /// each later call receives the result of the operation the sub-machine
-/// requested (or `None` after a [`Step::Compute`]).
+/// requested (or `None` after a [`Step::Compute`]; after a
+/// [`Step::Spin`], the first load result that differed from `seen`).
 pub trait SubMachine: Send {
     /// Advances the fragment.
     fn step(&mut self, last: Option<OpResult>, rng: &mut SimRng) -> Step;
@@ -33,11 +49,13 @@ pub trait SubMachine: Send {
 /// evaluates operations — used by unit tests to check sub-machine logic
 /// without a full machine.
 ///
-/// Returns the number of operations issued.
+/// Returns the number of operations issued (each load of a
+/// [`Step::Spin`] counts as one).
 ///
 /// # Panics
 ///
-/// Panics if the sub-machine runs for more than `fuel` steps.
+/// Panics if the sub-machine runs for more than `fuel` steps (each
+/// spin load counts as a step).
 pub fn drive_sync<M, F>(sub: &mut M, rng: &mut SimRng, fuel: usize, mut eval: F) -> usize
 where
     M: SubMachine + ?Sized,
@@ -45,13 +63,27 @@ where
 {
     let mut last = None;
     let mut ops = 0;
-    for _ in 0..fuel {
+    let mut steps = 0;
+    while steps < fuel {
+        steps += 1;
         match sub.step(last.take(), rng) {
             Step::Op(op) => {
                 ops += 1;
                 last = Some(eval(op));
             }
             Step::Compute(_) => {}
+            Step::Spin { addr, seen, .. } => loop {
+                ops += 1;
+                let result = eval(MemOp::Load { addr });
+                if result.value() != Some(seen) {
+                    last = Some(result);
+                    break;
+                }
+                steps += 1;
+                if steps >= fuel {
+                    break;
+                }
+            },
             Step::Done => return ops,
         }
     }
@@ -92,6 +124,37 @@ mod tests {
         let mut m = TwoOps { n: 0 };
         let ops = drive_sync(&mut m, &mut rng, 100, |_| OpResult::Fetched { old: 0 });
         assert_eq!(ops, 2);
+    }
+
+    #[test]
+    fn drive_sync_runs_spin_loads_until_the_value_changes() {
+        struct WaitFlag(bool);
+        impl SubMachine for WaitFlag {
+            fn step(&mut self, last: Option<OpResult>, _rng: &mut SimRng) -> Step {
+                if self.0 {
+                    assert_eq!(last.and_then(OpResult::value), Some(9));
+                    return Step::Done;
+                }
+                self.0 = true;
+                Step::Spin {
+                    addr: Addr::new(8),
+                    seen: 0,
+                    delay: 4,
+                }
+            }
+        }
+        let mut rng = SimRng::new(1);
+        let mut reads = 0;
+        let ops = drive_sync(&mut WaitFlag(false), &mut rng, 100, |op| {
+            assert_eq!(op, MemOp::Load { addr: Addr::new(8) });
+            reads += 1;
+            OpResult::Loaded {
+                value: if reads < 3 { 0 } else { 9 },
+                serial: None,
+                reserved: false,
+            }
+        });
+        assert_eq!(ops, 3, "two loads read `seen`, the third differs");
     }
 
     #[test]

@@ -58,6 +58,7 @@ impl SubRunner {
         match m.step(ctx.last.take(), ctx.rng) {
             Step::Op(op) => Some(Action::Op(op)),
             Step::Compute(c) => Some(Action::Compute(c)),
+            Step::Spin { addr, seen, delay } => Some(Action::Spin { addr, seen, delay }),
             Step::Done => {
                 self.active = None;
                 None
@@ -73,6 +74,7 @@ pub fn drive_sub<M: SubMachine>(fragment: &mut M, ctx: &mut ProcCtx<'_>) -> Opti
     match fragment.step(ctx.last.take(), ctx.rng) {
         Step::Op(op) => Some(Action::Op(op)),
         Step::Compute(c) => Some(Action::Compute(c)),
+        Step::Spin { addr, seen, delay } => Some(Action::Spin { addr, seen, delay }),
         Step::Done => None,
     }
 }

@@ -156,6 +156,7 @@ impl Program for QueueProg {
                 match step {
                     Step::Op(op) => return Action::Op(op),
                     Step::Compute(c) => return Action::Compute(c),
+                    Step::Spin { addr, seen, delay } => return Action::Spin { addr, seen, delay },
                     Step::Done => {
                         let (op, ret) = match act {
                             QAct::Enq(_, v) => (HistOp::Enqueue(*v), HistRet::Ok),
@@ -230,6 +231,7 @@ impl Program for SetProg {
                 match step {
                     Step::Op(op) => return Action::Op(op),
                     Step::Compute(c) => return Action::Compute(c),
+                    Step::Spin { addr, seen, delay } => return Action::Spin { addr, seen, delay },
                     Step::Done => {
                         let (op, ret) = match act {
                             SAct::Ins(m, k) => {

@@ -46,6 +46,7 @@ fn stack_run(prim: StackPrim, nodes: u32, per_proc: u64) -> (u64, u64, u64) {
                 match m.step(ctx.last.take(), ctx.rng) {
                     Step::Op(op) => return Action::Op(op),
                     Step::Compute(c) => return Action::Compute(c),
+                    Step::Spin { addr, seen, delay } => return Action::Spin { addr, seen, delay },
                     Step::Done => {
                         *retries.lock().unwrap() += m.retries;
                         push = None;
@@ -56,6 +57,7 @@ fn stack_run(prim: StackPrim, nodes: u32, per_proc: u64) -> (u64, u64, u64) {
                 match m.step(ctx.last.take(), ctx.rng) {
                     Step::Op(op) => return Action::Op(op),
                     Step::Compute(c) => return Action::Compute(c),
+                    Step::Spin { addr, seen, delay } => return Action::Spin { addr, seen, delay },
                     Step::Done => {
                         if m.popped().is_some() {
                             *pops.lock().unwrap() += 1;

@@ -45,6 +45,7 @@ fn run(nodes: u32, active: u32, iters: u64, bare: bool) -> (u64, u64, u64) {
                 match m.step(ctx.last.take(), ctx.rng) {
                     Step::Op(op) => return Action::Op(op),
                     Step::Compute(c) => return Action::Compute(c),
+                    Step::Spin { addr, seen, delay } => return Action::Spin { addr, seen, delay },
                     Step::Done => {
                         serial = m.tail_serial_after_acquire();
                         acq = None;
@@ -55,6 +56,7 @@ fn run(nodes: u32, active: u32, iters: u64, bare: bool) -> (u64, u64, u64) {
                 match m.step(ctx.last.take(), ctx.rng) {
                     Step::Op(op) => return Action::Op(op),
                     Step::Compute(c) => return Action::Compute(c),
+                    Step::Spin { addr, seen, delay } => return Action::Spin { addr, seen, delay },
                     Step::Done => {
                         *bare_hits.lock().unwrap() += m.bare_sc_hits;
                         rel = None;
@@ -177,6 +179,7 @@ fn bare_sc_falls_back_safely_under_contention() {
                 match m.step(ctx.last.take(), ctx.rng) {
                     Step::Op(op) => return Action::Op(op),
                     Step::Compute(c) => return Action::Compute(c),
+                    Step::Spin { addr, seen, delay } => return Action::Spin { addr, seen, delay },
                     Step::Done => {
                         let serial = m.tail_serial_after_acquire();
                         acq = None;
@@ -191,6 +194,7 @@ fn bare_sc_falls_back_safely_under_contention() {
                 match m.step(ctx.last.take(), ctx.rng) {
                     Step::Op(op) => return Action::Op(op),
                     Step::Compute(c) => return Action::Compute(c),
+                    Step::Spin { addr, seen, delay } => return Action::Spin { addr, seen, delay },
                     Step::Done => {
                         *bare_hits.lock().unwrap() += m.bare_sc_hits;
                         rel = None;

@@ -258,6 +258,7 @@ fn lockfree_stack_survives_heavy_faults() {
                 match m.step(ctx.last.take(), ctx.rng) {
                     Step::Op(op) => return Action::Op(op),
                     Step::Compute(c) => return Action::Compute(c),
+                    Step::Spin { addr, seen, delay } => return Action::Spin { addr, seen, delay },
                     Step::Done => push = None,
                 }
             }
@@ -265,6 +266,7 @@ fn lockfree_stack_survives_heavy_faults() {
                 match m.step(ctx.last.take(), ctx.rng) {
                     Step::Op(op) => return Action::Op(op),
                     Step::Compute(c) => return Action::Compute(c),
+                    Step::Spin { addr, seen, delay } => return Action::Spin { addr, seen, delay },
                     Step::Done => {
                         if let Some(n) = m.popped() {
                             popped.lock().unwrap().push(n);

@@ -54,6 +54,7 @@ fn run_stress(prim: StackPrim, policy: SyncPolicy, nodes: u32, per_proc: u64) {
                 match m.step(ctx.last.take(), ctx.rng) {
                     Step::Op(op) => return Action::Op(op),
                     Step::Compute(c) => return Action::Compute(c),
+                    Step::Spin { addr, seen, delay } => return Action::Spin { addr, seen, delay },
                     Step::Done => {
                         hist.lock().unwrap().push(HistEvent {
                             proc: p,
@@ -70,6 +71,7 @@ fn run_stress(prim: StackPrim, policy: SyncPolicy, nodes: u32, per_proc: u64) {
                 match m.step(ctx.last.take(), ctx.rng) {
                     Step::Op(op) => return Action::Op(op),
                     Step::Compute(c) => return Action::Compute(c),
+                    Step::Spin { addr, seen, delay } => return Action::Spin { addr, seen, delay },
                     Step::Done => {
                         let ret = match m.popped() {
                             Some(n) => {

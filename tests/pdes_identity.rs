@@ -84,6 +84,23 @@ fn lockfree_machine(nodes: u32) -> Machine {
     build_lockfree(MachineConfig::with_nodes(nodes), &cfg).0
 }
 
+/// An MCS-lock counter: waiters spin on their queue nodes' `locked`
+/// flags and releasers on their `next` words (parked spinners).
+fn mcs_machine(nodes: u32) -> Machine {
+    let cfg = SyntheticConfig {
+        kind: CounterKind::McsLock,
+        choice: PrimChoice::plain(Primitive::Llsc),
+        sync: SyncConfig {
+            policy: SyncPolicy::Inv,
+            ..Default::default()
+        },
+        contention: nodes,
+        write_run: 1.0,
+        rounds: 4,
+    };
+    build_synthetic(MachineConfig::with_nodes(nodes), &cfg).0
+}
+
 /// Asserts that `build` yields identical observable results at every
 /// worker count (1 = the serial engine, the reference).
 fn assert_identical(build: &dyn Fn() -> Machine, label: &str) {
@@ -105,6 +122,58 @@ fn counter_identical_across_worker_counts() {
 #[test]
 fn app_tclosure_identical_across_worker_counts() {
     assert_identical(&|| app_machine(16), "app-tclosure");
+}
+
+#[test]
+fn mcs_counter_identical_across_worker_counts() {
+    assert_identical(&|| mcs_machine(8), "MCS counter");
+}
+
+#[test]
+fn spinners_under_cache_faults_are_deterministic_at_every_worker_count() {
+    // Injected evictions and corruptions settle and re-check the
+    // parked spinner of the node they hit. Faults force the serial
+    // engine, so every worker request must reproduce the same run:
+    // results when only evictions fire, the same typed failure when
+    // corruption manufactures a protocol violation.
+    let evict = FaultConfig {
+        evict_per_10k: 3_000,
+        period: 64,
+        ..Default::default()
+    };
+    let corrupt = FaultConfig {
+        corrupt_per_10k: 3_000,
+        period: 64,
+        paranoid: true,
+        ..Default::default()
+    };
+    for (label, build) in [
+        ("app-tclosure", app_machine as fn(u32) -> Machine),
+        ("MCS counter", mcs_machine),
+    ] {
+        let run = |faults: &FaultConfig, workers: usize| {
+            with_fault_config(faults.clone(), || {
+                let mut m = build(8);
+                m.set_workers(workers);
+                let outcome = m.run(LIMIT).map_err(|e| e.to_string());
+                (outcome, m.state_digest(), m.injected_faults())
+            })
+        };
+        for faults in [&evict, &corrupt] {
+            let reference = run(faults, 1);
+            let (evictions, _, corruptions) = reference.2;
+            assert!(evictions + corruptions > 0, "{label}: no fault applied");
+            for workers in [1usize, 2, 3, 8] {
+                assert_eq!(
+                    run(faults, workers),
+                    reference,
+                    "{label}: faulted run with {workers} workers diverged"
+                );
+            }
+        }
+        let evicted = run(&evict, 1);
+        assert!(evicted.0.is_ok(), "{label}: evictions are protocol-legal");
+    }
 }
 
 #[test]

@@ -62,6 +62,9 @@ fn run(prim: Primitive, policy: SyncPolicy, writers: u32, readers: u32, iters: u
             match step {
                 Some(Step::Op(op)) => return Action::Op(op),
                 Some(Step::Compute(c)) => return Action::Compute(c),
+                Some(Step::Spin { addr, seen, delay }) => {
+                    return Action::Spin { addr, seen, delay }
+                }
                 Some(Step::Done) => frag = Frag::None,
                 None => {}
             }
